@@ -1,11 +1,10 @@
 """Wall-clock evidence for batched replicate execution (BENCH_batched.json).
 
-``--mode lockstep`` times the lockstep co-advance driver against the
-legacy scalar-in-turn batch path on one batch (``execute_batch`` with
-``REPRO_LOCKSTEP`` toggled), paired-interleaved, payloads asserted
-bit-identical (``==``) before any timing is reported; this feeds
-BENCH_lockstep.json.  The default ``--mode sweep`` is the original
-whole-adaptive-sweep comparison below.
+``--mode cell`` sweeps one adaptive cell at jobs=1 with
+``batch_runs="off"`` and ``"auto"`` in paired fresh subprocesses and
+asserts the aggregated metrics bit-identical (``==``) before any timing
+is reported.  The default ``--mode sweep`` is the whole-adaptive-sweep
+comparison below.
 
 One measurement, two comparisons:
 
@@ -115,96 +114,6 @@ def time_batched_sweep(
     return payload
 
 
-def time_lockstep_batch(
-    scale: float = 0.02,
-    runs: int = 8,
-    repeats: int = 5,
-    scheduler: str = "da",
-    parallelism: int = 2,
-    machine: str | None = None,
-    lockstep_env: dict | None = None,
-) -> dict:
-    """Paired lockstep-vs-scalar timing of one ``execute_batch`` call.
-
-    The two drivers alternate within each repeat (best-of-N each) so
-    host-load drift hits both equally, and their per-replicate payloads
-    are asserted bit-identical (``==``) before any timing is reported.
-    ``machine`` swaps the fig4 cell's TX2 for a wider registry machine
-    (e.g. ``haswell16``, 30 places); the TX2-specific co-runner scenario
-    is dropped with it.
-    ``lockstep_env`` optionally pins the driver knobs
-    (``REPRO_LOCKSTEP_DECISIONS``/``_FOLDS``); default leaves the auto
-    gates in charge, which is what a real sweep gets.
-    """
-    import dataclasses
-    import os
-
-    from repro.core.batched import execute_batch
-    from repro.experiments.common import ExperimentSettings
-    from repro.experiments.fig4_corunner import fig4_spec
-    from repro.sweep import replicate_spec
-
-    cell = fig4_spec(
-        ExperimentSettings(scale=scale), "matmul", parallelism, scheduler
-    )
-    if machine is not None:
-        params = dict(cell.params)
-        params["machine"] = machine
-        params.pop("scenario", None)
-        cell = dataclasses.replace(cell, params=params)
-    members = [replicate_spec(cell, rep) for rep in range(runs)]
-    saved = {
-        key: os.environ.get(key)
-        for key in (
-            "REPRO_LOCKSTEP", "REPRO_LOCKSTEP_DECISIONS",
-            "REPRO_LOCKSTEP_FOLDS", "REPRO_LOCKSTEP_LEAN",
-        )
-    }
-
-    def _with_mode(lockstep: bool):
-        os.environ["REPRO_LOCKSTEP"] = "1" if lockstep else "0"
-        if lockstep:
-            for key, value in (lockstep_env or {}).items():
-                os.environ[key] = value
-        start = time.perf_counter()
-        payloads = execute_batch(members)
-        return payloads, time.perf_counter() - start
-
-    try:
-        # Bit-identity first, outside the timed repeats (also warms the
-        # numpy/template caches for both paths equally).
-        scalar_payloads, _ = _with_mode(False)
-        lockstep_payloads, _ = _with_mode(True)
-        if lockstep_payloads != scalar_payloads:
-            raise AssertionError(
-                "lockstep payloads diverged from the scalar batch path"
-            )
-        best_scalar = best_lockstep = float("inf")
-        for _ in range(repeats):
-            _, scalar_elapsed = _with_mode(False)
-            best_scalar = min(best_scalar, scalar_elapsed)
-            _, lockstep_elapsed = _with_mode(True)
-            best_lockstep = min(best_lockstep, lockstep_elapsed)
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
-    return {
-        "scheduler": scheduler,
-        "parallelism": parallelism,
-        "machine": machine or "jetson_tx2",
-        "scale": scale,
-        "runs": runs,
-        "repeats": repeats,
-        "bit_identical": True,
-        "scalar_seconds": best_scalar,
-        "lockstep_seconds": best_lockstep,
-        "lockstep_speedup": best_scalar / best_lockstep,
-    }
-
-
 _CELL_CHILD = """\
 import json, sys, time
 sys.path.insert(0, {src!r})
@@ -233,12 +142,12 @@ print(json.dumps({{
     "elapsed": elapsed,
     "results": results,
     "batched_runs": stats.batched_runs,
-    "lockstep_batches": stats.lockstep_batches,
+    "batches": stats.batches,
 }}))
 """
 
 
-def time_lockstep_cell(
+def time_batched_cell(
     scale: float = 0.005,
     seeds: int = 12,
     repeats: int = 7,
@@ -248,10 +157,9 @@ def time_lockstep_cell(
 ) -> dict:
     """Adaptive-cell batched-vs-scalar, paired fresh subprocesses.
 
-    This is the acceptance comparison for lockstep: one eligible
-    replicated cell swept at jobs=1 with ``batch_runs="off"`` (scalar
-    replicates, the pre-batching path) versus ``batch_runs="auto"``
-    (one lockstep batch), each measurement in a fresh subprocess,
+    One eligible replicated cell swept at jobs=1 with
+    ``batch_runs="off"`` (scalar replicates) versus ``batch_runs="auto"``
+    (one batch), each measurement in a fresh subprocess,
     modes alternating within every repeat so host-load drift cancels.
     Aggregated per-cell metrics are asserted ``==`` across modes before
     any timing is reported; best-of-N per side.
@@ -275,7 +183,7 @@ def time_lockstep_cell(
         return json.loads(out.stdout)
 
     best_off = best_auto = float("inf")
-    ref = lockstep_batches = batched_runs = None
+    ref = batches = batched_runs = None
     for _ in range(repeats):
         off = _child("off")
         auto = _child("auto")
@@ -287,7 +195,7 @@ def time_lockstep_cell(
             )
         best_off = min(best_off, off["elapsed"])
         best_auto = min(best_auto, auto["elapsed"])
-        lockstep_batches = auto["lockstep_batches"]
+        batches = auto["batches"]
         batched_runs = auto["batched_runs"]
     return {
         "scheduler": scheduler,
@@ -298,7 +206,7 @@ def time_lockstep_cell(
         "repeats": repeats,
         "bit_identical": True,
         "batched_runs": batched_runs,
-        "lockstep_batches": lockstep_batches,
+        "batches": batches,
         "scalar_seconds": best_off,
         "batched_seconds": best_auto,
         "batched_speedup": best_off / best_auto,
@@ -311,23 +219,16 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=0.02)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--mode", choices=("sweep", "lockstep", "cell", "both"),
-        default="sweep",
-        help="sweep: adaptive batch_runs on/off comparison; lockstep: "
-        "one-batch lockstep-vs-scalar driver comparison; cell: "
+        "--mode", choices=("sweep", "cell"), default="sweep",
+        help="sweep: adaptive batch_runs on/off comparison; cell: "
         "subprocess-paired adaptive-cell batched-vs-scalar comparison",
     )
     parser.add_argument(
-        "--runs", type=int, default=8,
-        help="replicates per batch (--mode lockstep)",
+        "--scheduler", default="da", help="cell scheduler (--mode cell)"
     )
     parser.add_argument(
-        "--scheduler", default="da", help="cell scheduler (--mode lockstep)"
-    )
-    parser.add_argument(
-        "--machine", default=None,
-        help="registry machine for the lockstep cell (default: the fig4 "
-        "cell's jetson_tx2)",
+        "--machine", default="haswell16",
+        help="registry machine for the cell (--mode cell)",
     )
     parser.add_argument(
         "--scalar-only", action="store_true",
@@ -337,21 +238,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     payload = {}
-    if args.mode in ("sweep", "both"):
+    if args.mode == "sweep":
         payload["batched_sweep"] = time_batched_sweep(
             scale=args.scale, repeats=args.repeats,
             scalar_only=args.scalar_only,
         )
-    if args.mode in ("lockstep", "both"):
-        payload["lockstep_batch"] = time_lockstep_batch(
-            scale=args.scale, runs=args.runs, repeats=args.repeats,
-            scheduler=args.scheduler, machine=args.machine,
-        )
-    if args.mode == "cell":
-        payload["lockstep_cell"] = time_lockstep_cell(
+    else:
+        payload["batched_cell"] = time_batched_cell(
             scale=args.scale, repeats=args.repeats,
-            scheduler=args.scheduler,
-            machine=args.machine or "haswell16",
+            scheduler=args.scheduler, machine=args.machine,
         )
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:

@@ -205,13 +205,14 @@ def test_sweep_tiny_fig4(benchmark):
 
 
 def test_lockstep_batch(benchmark):
-    """Lockstep batch driver: 8 PTT-training replicates in one pass.
+    """Batched replicates: 8 PTT-training replicates in one batch.
 
     Calls :func:`repro.core.batched.execute_batch` directly on eight
     ``da`` fig4 replicates (seed-derived specs, one shared machine),
-    exercising the lockstep driver, lean-records mode and the shared
-    environment setup.  Gated: a regression here is a regression of the
-    batched jobs=1 sweep path (see BENCH_lockstep.json).
+    exercising lean-records mode and the shared machine, template and
+    kernel-profile setup.  Gated: a regression here is a regression of
+    the batched jobs=1 sweep path.  (The name predates the removal of
+    lockstep batching; it is kept so the baseline entry still applies.)
     """
     from repro.core.batched import execute_batch
     from repro.experiments.common import ExperimentSettings

@@ -38,7 +38,20 @@ from repro.cluster.coordinator import (
     ExecuteReport,
     LeaseOutcome,
 )
-from repro.cluster.worker import ClusterWorker, start_worker_thread
+
+# The worker module resolves on first use: importing it here would make
+# ``python -m repro.cluster.worker`` find it already in ``sys.modules``
+# when runpy executes it (a RuntimeWarning on every worker start).
+_LAZY = {"ClusterWorker", "start_worker_thread"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from repro.cluster import worker
+
+        return getattr(worker, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AddressInUse",

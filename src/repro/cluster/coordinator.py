@@ -33,10 +33,8 @@ Stragglers keep PR 7's contract: a slow-but-heartbeating run is flagged
 lease deadline (the distributed analog of the per-run timeout) or
 worker death takes work away.  See ``docs/cluster.md``.
 
-The **dispatch fast lane** (default on; ``REPRO_DISPATCH_FAST=0``
-restores the PR 9 wire behavior for apples-to-apples benchmarking)
-layers three throughput optimisations over that machinery without
-touching any of its invariants:
+The **dispatch fast lane** layers three throughput optimisations over
+that machinery without touching any of its invariants:
 
 * leases are granted in **batches** (up to ``prefetch`` per frame, as
   ``lease_batch``) so a worker's backlog refills in one round-trip;
@@ -84,10 +82,6 @@ SPEED_ALPHA = 0.3
 #: must not park a worker at the back of the placement order forever.
 SPEED_CLAMP = (0.05, 20.0)
 
-
-def dispatch_fast_default() -> bool:
-    """The fast-lane default: on unless ``REPRO_DISPATCH_FAST=0``."""
-    return wire.dispatch_fast_default()
 
 #: Default multiple of the per-run timeout after which a *started*
 #: lease expires (the run timeout is the worker's kill budget; the
@@ -222,10 +216,7 @@ class ClusterCoordinator:
     seed:
         Seeds the backoff jitter — scheduling only, never results.
     prefetch:
-        Fast-lane cap on leases granted per ``lease_batch`` frame.
-    dispatch_fast:
-        Force the dispatch fast lane on/off; ``None`` (default) reads
-        ``REPRO_DISPATCH_FAST`` (on unless ``"0"``).
+        Cap on leases granted per ``lease_batch`` frame.
     """
 
     def __init__(
@@ -243,7 +234,6 @@ class ClusterCoordinator:
         seed: int = 0,
         log: Optional[Callable[..., None]] = None,
         prefetch: int = PREFETCH,
-        dispatch_fast: Optional[bool] = None,
     ) -> None:
         if max_attempts < 1:
             raise ConfigurationError(
@@ -273,10 +263,6 @@ class ClusterCoordinator:
         self.drain_timeout = drain_timeout
         self.cost_model = cost_model
         self.prefetch = int(prefetch)
-        self.dispatch_fast = (
-            dispatch_fast_default() if dispatch_fast is None
-            else bool(dispatch_fast)
-        )
         self._rng = random.Random(seed)
         self._log = log or (lambda message, kind="info": None)
         self._lease_ids = itertools.count(1)
@@ -952,28 +938,21 @@ class ClusterCoordinator:
         The engine submits cells cost-ordered longest-first, so ranking
         workers by throughput makes the head of the queue (the longest
         outstanding work) land on the fastest host — the longest-cell-to-
-        fastest-host placement — without any per-cell scan.  With the
-        fast lane off, the pre-fast-lane emptiest-first order is kept.
+        fastest-host placement — without any per-cell scan.
         """
         if not self._queue or not self._workers:
             return
-        fast = self.dispatch_fast
-        if fast:
-            workers = sorted(
-                self._workers.values(),
-                key=lambda w: (-self._worker_speed(w), len(w.leases), w.name),
-            )
-        else:
-            workers = sorted(
-                self._workers.values(), key=lambda w: (len(w.leases), w.name)
-            )
+        workers = sorted(
+            self._workers.values(),
+            key=lambda w: (-self._worker_speed(w), len(w.leases), w.name),
+        )
         drained = False
         for worker in workers:
             if drained:
                 break
             room = worker.capacity * BACKLOG_FACTOR - len(worker.leases)
             while room > 0 and not drained:
-                batch_cap = min(room, self.prefetch) if fast else 1
+                batch_cap = min(room, self.prefetch)
                 cells: List[_Cell] = []
                 while len(cells) < batch_cap:
                     cell = self._next_ready(now)
@@ -996,11 +975,10 @@ class ClusterCoordinator:
         ``cells`` to ``worker``; returns how many leases stuck.  On a
         send failure every cell goes back to the queue head and the
         answer is 0 — the liveness check reaps the dead connection."""
-        fast = self.dispatch_fast
         frames: List[Dict[str, Any]] = []
         bodies: List[Dict[str, Any]] = []
         leases: List[_Lease] = []
-        informed = fast and worker.speed_samples > 0
+        informed = worker.speed_samples > 0
         for cell in cells:
             lease = _Lease(
                 lease_id=f"L{next(self._lease_ids)}",
@@ -1014,28 +992,25 @@ class ClusterCoordinator:
                 "width": cell.width,
                 "timeout": self.run_timeout,
             }
-            if fast:
-                enc = self._interner.encode(cell.spec)
-                if enc.delta is not None:
-                    if enc.base_id not in worker.bases_sent:
-                        base = self._interner.bases[enc.base_id]
-                        frames.append(
-                            {
-                                "type": protocol.MSG_SPEC_BASE,
-                                "base": enc.base_id,
-                                "spec": wire.spec_to_wire(base),
-                            }
-                        )
-                        worker.bases_sent.add(enc.base_id)
-                    body["base"] = enc.base_id
-                    body["delta"] = enc.delta
-                    self._m_deltas.inc()
-                else:
-                    body["spec"] = enc.full
-                self._m_spec_bytes.inc(enc.wire_bytes)
-                self._m_bytes_saved.inc(enc.saved_bytes)
+            enc = self._interner.encode(cell.spec)
+            if enc.delta is not None:
+                if enc.base_id not in worker.bases_sent:
+                    base = self._interner.bases[enc.base_id]
+                    frames.append(
+                        {
+                            "type": protocol.MSG_SPEC_BASE,
+                            "base": enc.base_id,
+                            "spec": wire.spec_to_wire(base),
+                        }
+                    )
+                    worker.bases_sent.add(enc.base_id)
+                body["base"] = enc.base_id
+                body["delta"] = enc.delta
+                self._m_deltas.inc()
             else:
-                body["spec"] = protocol.spec_to_data(cell.spec)
+                body["spec"] = enc.full
+            self._m_spec_bytes.inc(enc.wire_bytes)
+            self._m_bytes_saved.inc(enc.saved_bytes)
             bodies.append(body)
             leases.append(lease)
         if len(bodies) == 1:
@@ -1194,14 +1169,10 @@ class ClusterCoordinator:
                 )
                 parked_since = None
             if not activity:
-                # Fast lane: while leases are outstanding, results can
-                # land any millisecond — a 10ms nap would dominate tiny
-                # cells' round-trip time.
-                time.sleep(
-                    0.001
-                    if (self.dispatch_fast and self._held_count)
-                    else 0.01
-                )
+                # While leases are outstanding, results can land any
+                # millisecond — a 10ms nap would dominate tiny cells'
+                # round-trip time.
+                time.sleep(0.001 if self._held_count else 0.01)
         # Linger briefly for duplicate results from reclaimed-but-alive
         # leases so they are observed (and suppressed) rather than left
         # to hit a closed socket.
@@ -1239,5 +1210,4 @@ __all__ = [
     "ExecuteReport",
     "LeaseOutcome",
     "PREFETCH",
-    "dispatch_fast_default",
 ]

@@ -103,12 +103,11 @@ class ClusterWorker:
         self._running = False
         self._killed = False
         self._lock = threading.Lock()
-        #: Wakes executor threads the moment a lease lands (fast lane);
-        #: shares ``_lock`` so intake and revoke stay serialized.
+        #: Wakes executor threads the moment a lease lands; shares
+        #: ``_lock`` so intake and revoke stay serialized.
         self._lease_cv = threading.Condition(self._lock)
         #: Receiver-side base-spec table for delta-encoded leases.
         self._decoder = wire.SpecDecoder()
-        self._fast = wire.dispatch_fast_default()
         self._leases: deque = deque()  # granted, not yet picked up
         self._active: Dict[str, _ActiveRun] = {}
         self._outbox: deque = deque()  # messages awaiting a live conn
@@ -355,12 +354,10 @@ class ClusterWorker:
         state: Dict[str, Any] = {"proc": None, "pipe": None}
         try:
             while self._running:
-                # Fast lane: block on the lease condvar (wakes the
-                # instant a grant lands) instead of the legacy 10ms poll.
-                lease = self._take_lease(wait=0.05 if self._fast else 0.0)
+                # Block on the lease condvar: it wakes the instant a
+                # grant lands.
+                lease = self._take_lease(wait=0.05)
                 if lease is None:
-                    if not self._fast:
-                        time.sleep(0.01)
                     continue
                 lease_id = lease["lease"]
                 key = lease["key"]
@@ -488,22 +485,17 @@ class ClusterWorker:
                 if self._conn is None:
                     if not self._connect():
                         break
-                if self._fast:
-                    # Short poll while anything is in flight (results
-                    # must flush promptly for tiny cells), long poll
-                    # when idle so an idle worker stays cheap.
-                    with self._lock:
-                        busy = bool(
-                            self._active or self._leases or self._outbox
-                        )
-                    recv_timeout = 0.002 if busy else 0.02
-                else:
-                    recv_timeout = 0.02
+                # Short poll while anything is in flight (results must
+                # flush promptly for tiny cells), long poll when idle so
+                # an idle worker stays cheap.
+                with self._lock:
+                    busy = bool(self._active or self._leases or self._outbox)
+                recv_timeout = 0.002 if busy else 0.02
                 try:
                     message = self._conn.recv(timeout=recv_timeout)
                     while message is not None:
                         self._handle(message)
-                        if not self._running or not self._fast:
+                        if not self._running:
                             break
                         message = self._conn.recv(timeout=0)
                 except comm.ConnectionClosed:

@@ -1,313 +1,39 @@
-"""Batched replicate execution: N same-cell runs in one vectorized pass.
+"""Batched replicate execution: N same-cell runs in one worker job.
 
 Adaptive replication (:mod:`repro.sweep.adaptive`) re-runs one *cell* —
 one parameter point — across derived seeds until its confidence interval
 converges.  Those replicates share everything except their RNG streams:
 the machine topology, the DAG structure (via the template cache), the
-kernel cost profiles and the scheduler configuration.  This module
-exploits that sharing:
+kernel cost profiles and the scheduler configuration.
+:func:`execute_batch` builds that shared state once per batch and runs
+each replicate on it in turn:
 
-* :class:`BatchedPttStore` stacks the replicates' Performance Trace
-  Tables: per task kind one ``(runs x slots)`` value/sample matrix, with
-  each run's :class:`~repro.core.ptt.PerformanceTraceTable` operating on
-  its row *view* — scalar updates from the runtime flow straight into
-  the stack, and the batched readers (:meth:`~BatchedPttStore.stack`,
-  :meth:`~BatchedPttStore.predict_all_runs`) and the run-axis writer
-  (:meth:`~BatchedPttStore.update_slot_runs`) see the whole batch
-  without copying.
-* :class:`BatchedRates` holds the dynamic rate inputs as
-  ``(runs x cores)`` matrices; every DVFS / co-runner / fault transition
-  a replicate's :class:`BatchedSpeedModel` applies lands as a row-wise
-  masked update.
-* :func:`execute_batch` drives N replicates through one shared machine,
-  template-instantiated DAGs and a shared kernel-profile cache, then
-  hands the built runtimes to the lockstep driver
-  (:func:`repro.core.lockstep.drive_runs`), which co-advances all N
-  event calendars as one merged wavefront and answers the cross-run
-  homogeneous work — high-priority placement scans, PTT folds, metric
-  extraction — as runs-axis numpy passes over the stacked matrices.
+* one machine, one DAG template (each run instantiates a fresh graph
+  from it) and one kernel-profile memo for the whole batch;
+* per replicate: its own environment, speed model, scheduler and RNG
+  streams, so its metrics are bit-identical to a scalar run of the same
+  spec (property-tested);
+* lean records when the batch's metric demands are covered by
+  :data:`repro.sweep.registry.RECORD_FREE_METRICS` — the runtime then
+  skips per-task record keeping nothing downstream reads;
+* per-replicate error isolation: a replicate that raises resolves to its
+  own error payload and never aborts its batchmates.
 
-Replicates *diverge* at their first seeded-RNG decision (steal-victim
-draws, wake shuffles), so their event queues cannot be fused into a
-single shared calendar without changing results; the lockstep driver
-therefore keeps each run's own event order, RNG draws and tie-breaking
-exactly on scalar semantics (bit-identical metrics, property-tested)
-and batches only the *decisions and folds* that are pure functions of
-the stacked per-run state, plus the record keeping the batch's metric
-demands provably never read.  ``REPRO_LOCKSTEP=0`` restores the legacy
-run-to-completion-in-turn loop.  Cells that cannot batch — fault
-injection enabled, kernels the template cache cannot key (e.g. carrying
-live RNG state), non-``single`` executors such as the distributed
-runtime, traced runs — fall back to scalar execution with the reason
-recorded in the sweep manifest; see :func:`batch_ineligible_reason`.
+Cells that cannot batch — fault injection enabled, kernels the template
+cache cannot key (e.g. carrying live RNG state), non-``single``
+executors such as the distributed runtime, traced runs — fall back to
+scalar execution with the reason recorded in the sweep manifest; see
+:func:`batch_ineligible_reason`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.core.ptt import PerformanceTraceTable, PttStore
 from repro.errors import ConfigurationError
-from repro.machine.speed import TRANSITION_KINDS, SpeedModel
-from repro.machine.topology import Machine
+from repro.machine.speed import SpeedModel
 from repro.sim.environment import Environment
 from repro.sweep.spec import BATCH_KIND, RunSpec
-from repro.trace.tracer import NULL_TRACER, Tracer
-
-
-# ----------------------------------------------------------------------
-# stacked performance trace tables
-# ----------------------------------------------------------------------
-
-class _RunPttTable(PerformanceTraceTable):
-    """A PTT whose storage is one row of a batch's stacked matrices.
-
-    Behaviour is exactly the scalar table's — same fold arithmetic, same
-    Python-list mirror, same lost-core handling — only ``_values`` and
-    ``_samples`` are views into the owning :class:`BatchedPttStore`'s
-    ``(runs x slots)`` matrices, so every scalar update is immediately
-    visible to the batched readers.
-    """
-
-    def __init__(
-        self,
-        store: "BatchedPttStore",
-        run: int,
-        machine: Machine,
-        new_weight: int,
-        total_weight: int,
-        tracer: Tracer = NULL_TRACER,
-        label: str = "",
-    ) -> None:
-        super().__init__(
-            machine, new_weight, total_weight, tracer=tracer, label=label
-        )
-        values, samples = store._matrices(label)
-        self.bind_storage(values[run], samples[run])
-
-
-class _RunPttStore(PttStore):
-    """Per-replicate :class:`PttStore` facade over a batch's stack."""
-
-    def __init__(
-        self,
-        batched: "BatchedPttStore",
-        run: int,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        super().__init__(
-            batched.machine, batched.new_weight, batched.total_weight,
-            tracer=tracer,
-        )
-        self._batched = batched
-        self._run = run
-
-    def table(self, type_name: str) -> PerformanceTraceTable:
-        table = self._tables.get(type_name)
-        if table is None:
-            table = _RunPttTable(
-                self._batched, self._run, self.machine,
-                self.new_weight, self.total_weight,
-                tracer=self.tracer, label=type_name,
-            )
-            for core in self._lost_cores:
-                table.mark_core_lost(core)
-            self._tables[type_name] = table
-        return table
-
-
-class BatchedPttStore:
-    """PTT state of N replicate runs, stacked per task kind.
-
-    Per kind, values live in one ``(runs x slots)`` float64 matrix and
-    sample counts in an int64 matrix of the same shape; run ``r``'s
-    tables (via :meth:`store_for`) are row views, so the scalar runtime
-    path and the batched APIs read and write the same memory.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        runs: int,
-        new_weight: int = 1,
-        total_weight: int = 5,
-    ) -> None:
-        if runs < 1:
-            raise ConfigurationError(f"runs must be >= 1, got {runs}")
-        self.machine = machine
-        self.runs = int(runs)
-        self.new_weight = int(new_weight)
-        self.total_weight = int(total_weight)
-        self._values: Dict[str, np.ndarray] = {}
-        self._samples: Dict[str, np.ndarray] = {}
-        self._kinds: List[str] = []
-        self._rows = np.arange(self.runs)
-
-    def _matrices(self, kind: str) -> Tuple[np.ndarray, np.ndarray]:
-        """The (values, samples) matrices of ``kind``, created on demand."""
-        values = self._values.get(kind)
-        if values is None:
-            slots = len(self.machine.places)
-            values = np.zeros((self.runs, slots), dtype=np.float64)
-            self._values[kind] = values
-            self._samples[kind] = np.zeros((self.runs, slots), dtype=np.int64)
-            self._kinds.append(kind)
-        return values, self._samples[kind]
-
-    def store_for(self, run: int, tracer: Tracer = NULL_TRACER) -> PttStore:
-        """The per-replicate store whose tables view row ``run``."""
-        if not (0 <= run < self.runs):
-            raise ConfigurationError(
-                f"run {run} out of range [0, {self.runs})"
-            )
-        return _RunPttStore(self, run, tracer=tracer)
-
-    def kinds(self) -> Tuple[str, ...]:
-        """Task kinds observed so far, in first-seen order."""
-        return tuple(self._kinds)
-
-    def predict_all_runs(self, kind: str) -> np.ndarray:
-        """All runs' predicted times for ``kind``: a ``(runs x slots)``
-        view (read-only by convention, like ``predict_all``)."""
-        return self._matrices(kind)[0]
-
-    def samples_all_runs(self, kind: str) -> np.ndarray:
-        """All runs' sample counts for ``kind`` (``(runs x slots)`` view)."""
-        return self._matrices(kind)[1]
-
-    def update_slot_runs(
-        self,
-        kind: str,
-        slots: Sequence[int],
-        observed: Sequence[float],
-        rows: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Fold one observation per run, batched over the run axis.
-
-        ``slots[r]`` / ``observed[r]`` is run ``r``'s sample.  Applies the
-        scalar table's exact fold — first sample replaces the zero
-        initializer, later samples take the weighted average — as one
-        masked vector operation, and returns the new values (one per
-        run).  ``rows`` restricts the fold to a subset of runs (the
-        lockstep driver folds only the runs whose commits landed this
-        round); ``slots[i]`` / ``observed[i]`` then belong to run
-        ``rows[i]``.
-        """
-        values, samples = self._matrices(kind)
-        slots = np.asarray(slots, dtype=np.intp)
-        observed = np.asarray(observed, dtype=np.float64)
-        if rows is None:
-            rows = self._rows
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            if rows.size and (rows.min() < 0 or rows.max() >= self.runs):
-                raise ConfigurationError(
-                    f"rows must index [0, {self.runs}), got {rows}"
-                )
-        if slots.shape != rows.shape or observed.shape != rows.shape:
-            raise ConfigurationError(
-                f"need one (slot, observed) pair per addressed run "
-                f"({rows.shape}), got {slots.shape} / {observed.shape}"
-            )
-        if np.any(observed < 0):
-            raise ConfigurationError("observed times must be >= 0")
-        old = values[rows, slots]
-        w_new = self.new_weight
-        w_old = self.total_weight - w_new
-        folded = (w_old * old + w_new * observed) / self.total_weight
-        first = samples[rows, slots] == 0
-        new = np.where(first, observed, folded)
-        values[rows, slots] = new
-        samples[rows, slots] += 1
-        return new
-
-    def stack(self) -> np.ndarray:
-        """Materialized ``(runs x kinds x slots)`` snapshot of all values.
-
-        Kind order follows :meth:`kinds`.  With no kinds observed yet the
-        array is empty along the kind axis.
-        """
-        slots = len(self.machine.places)
-        if not self._kinds:
-            return np.zeros((self.runs, 0, slots), dtype=np.float64)
-        return np.stack([self._values[k] for k in self._kinds], axis=1)
-
-
-# ----------------------------------------------------------------------
-# stacked speed-model rates
-# ----------------------------------------------------------------------
-
-class BatchedRates:
-    """Dynamic rate inputs of N replicate runs as ``(runs x cores)``
-    matrices.
-
-    Each replicate's :class:`BatchedSpeedModel` mirrors its transitions
-    into its row (a masked write over the affected cores), so the batch
-    always has a current vectorized view of every run's DVFS frequency
-    scale, co-runner CPU share and fault multiplier.
-    """
-
-    #: SpeedModel transition kinds mirrored into a matrix — one attribute
-    #: per kind, named identically, sourced from the model's own registry
-    #: so a new rate input cannot be silently left unmirrored.
-    KINDS = TRANSITION_KINDS
-
-    def __init__(self, machine: Machine, runs: int) -> None:
-        if runs < 1:
-            raise ConfigurationError(f"runs must be >= 1, got {runs}")
-        self.machine = machine
-        self.runs = int(runs)
-        n = machine.num_cores
-        self.freq_scale = np.ones((runs, n), dtype=np.float64)
-        self.cpu_share = np.ones((runs, n), dtype=np.float64)
-        self.fault_scale = np.ones((runs, n), dtype=np.float64)
-        self._base = np.array(
-            [c.base_speed for c in machine.cores], dtype=np.float64
-        )
-
-    def effective(self) -> np.ndarray:
-        """Effective core rates, ``(runs x cores)``, ignoring
-        time-sharing (which depends on in-flight work, not on the rate
-        inputs)."""
-        return self._base * self.freq_scale * self.cpu_share * self.fault_scale
-
-
-class BatchedSpeedModel(SpeedModel):
-    """A :class:`SpeedModel` that mirrors its transitions into a batch row.
-
-    Simulation behaviour is untouched — the scalar tables stay the
-    authoritative state the hot paths read — but every
-    ``_transition_cores`` write is repeated as a row-wise masked update
-    of the shared :class:`BatchedRates` matrices, keeping the stacked
-    view current at transition granularity.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        machine: Machine,
-        rates: BatchedRates,
-        run: int,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        if rates.machine is not machine:
-            raise ConfigurationError("rates matrix machine must match")
-        if not (0 <= run < rates.runs):
-            raise ConfigurationError(
-                f"run {run} out of range [0, {rates.runs})"
-            )
-        super().__init__(env, machine, tracer)
-        self._batched_rates = rates
-        self._batched_run = run
-
-    def _transition_cores(self, table, core_ids, value, kind) -> None:
-        core_ids = list(core_ids)
-        super()._transition_cores(table, core_ids, value, kind)
-        matrix = getattr(self._batched_rates, kind, None)
-        if matrix is not None and core_ids:
-            matrix[self._batched_run, core_ids] = value
 
 
 # ----------------------------------------------------------------------
@@ -338,11 +64,9 @@ def batch_ineligible_reason(spec: RunSpec) -> Optional[str]:
       and application runtimes wire their own environments;
     * ``"traced"`` — a trace captures one concrete run's event stream
       (worker timelines, steal arrows, per-task spans addressed to that
-      run's trace file); co-advancing it with batchmates would interleave
-      foreign progress into the capture, and the tracer's callbacks are
-      exactly the kind of per-event side channel the lockstep driver
-      must not have to replay.  Metered-but-untraced runs carry no such
-      per-event capture, so they batch;
+      run's trace file); the batch builds its runtimes without tracers.
+      Metered-but-untraced runs carry no such per-event capture, so they
+      batch;
     * ``"faults"`` — recovery mutates PTT rows (inf pins /
       re-exploration resets) and worker liveness in ways the batch does
       not model;
@@ -467,31 +191,26 @@ def parse_batch_spec(spec: RunSpec) -> List[RunSpec]:
 # execution
 # ----------------------------------------------------------------------
 
-def _execute_batch_impl(
-    specs: Sequence[RunSpec],
-) -> Tuple[List[Dict[str, Any]], str]:
-    """Shared body of :func:`execute_batch`: payloads plus the mode run.
+def execute_batch(specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
+    """Run N same-cell replicates in one batched pass.
 
-    Construction and execution are separate phases.  Phase one builds
-    every replicate's runtime (error-isolated: a replicate whose
-    *construction* raises resolves to its error payload immediately and
-    is excluded from execution).  Phase two either hands the built
-    runtimes to the lockstep driver (``mode == "lockstep"``) or, with
-    ``REPRO_LOCKSTEP=0``, runs each to completion in turn on the legacy
-    scalar path (``mode == "scalar"``).  Hoisting construction ahead of
-    all execution is bit-identical: RNG streams are derived per seed,
-    the DAG template cache is deterministic, and kernel profiles are
-    only computed (and memoized) during execution.
+    Returns one payload per replicate, in order: ``{"ok": metrics}`` on
+    success or ``{"err": {"type", "message"}}`` when that replicate's
+    construction or execution raised (mirroring the scalar engine's
+    deterministic-failure capture; one broken replicate never aborts its
+    batchmates).
+
+    Shared across the batch: the machine (static topology, built once),
+    the DAG template (each run instantiates a fresh graph from it) and
+    the kernel cost-profile cache.  Per replicate: environment,
+    speed-model dynamics, scheduler state, RNG streams — everything that
+    makes its metrics bit-identical to a scalar run of the same spec.
     """
-    from repro.core.lockstep import (
-        drive_runs,
-        lockstep_enabled,
-        parking_wanted,
-    )
     from repro.core.policies.registry import make_scheduler
     from repro.runtime.config import RuntimeConfig
     from repro.runtime.executor import SimulatedRuntime
     from repro.sweep.registry import (
+        RECORD_FREE_METRICS,
         build_machine,
         build_scenario,
         build_workload,
@@ -500,7 +219,7 @@ def _execute_batch_impl(
     from repro.telemetry import get_registry
 
     if not specs:
-        return [], "lockstep" if lockstep_enabled() else "scalar"
+        return []
     base = specs[0]
     base_key = batch_group_key(base)
     for spec in specs[1:]:
@@ -515,26 +234,12 @@ def _execute_batch_impl(
 
     params = base.params
     machine = build_machine(params["machine"])
-    runs = len(specs)
-    lockstep = lockstep_enabled()
-    # Stacked per-run PTT state only pays when a parking mode will read
-    # it (runs-axis predicts for decisions, vector folds for commits):
-    # every scalar fold through a stacked row view costs a strided numpy
-    # write the plain per-run table avoids.  The legacy scalar-in-turn
-    # path keeps the unconditional swap it shipped with.
-    stack_ptt = not lockstep or any(parking_wanted(machine, runs))
-    # Same reasoning for the stacked rate matrices: the lockstep driver
-    # batches placement scans and PTT folds, never cross-run retiming,
-    # so under lockstep the BatchedRates mirror is a write-only cost
-    # (one masked numpy write per scenario transition per run — the TX2
-    # co-runner cells pay it measurably).  Plain SpeedModels behave
-    # identically; the legacy path keeps the mirror it shipped with.
-    rates = None if lockstep else BatchedRates(machine, runs)
-    ptt_stack: Optional[BatchedPttStore] = None
+    # Kernel profiles are pure in (kernel, machine, place); the machine
+    # and the template's kernel objects are shared across the batch, so
+    # the memo carries over run to run.
     shared_profiles: Dict[tuple, Any] = {}
-    payloads: List[Optional[Dict[str, Any]]] = [None] * runs
-    entries: List[Tuple[int, RunSpec, Any]] = []
-    for run, spec in enumerate(specs):
+    payloads: List[Dict[str, Any]] = []
+    for spec in specs:
         try:
             graph = build_workload(params["workload"])
             policy = make_scheduler(
@@ -543,109 +248,46 @@ def _execute_batch_impl(
             scenario = build_scenario(params.get("scenario"))
             config = RuntimeConfig(**(params.get("config") or {}))
             env = Environment()
-            speed = (
-                SpeedModel(env, machine)
-                if rates is None
-                else BatchedSpeedModel(env, machine, rates, run)
-            )
+            speed = SpeedModel(env, machine)
             if scenario is not None:
                 scenario.install(env, speed, machine)
             runtime = SimulatedRuntime(
                 env, machine, graph, policy, config=config, speed=speed,
                 seed=spec.seed,
             )
-            if stack_ptt and policy.uses_ptt and policy.ptt is not None:
-                if ptt_stack is None:
-                    ptt_stack = BatchedPttStore(
-                        machine, runs,
-                        policy.ptt_new_weight, policy.ptt_total_weight,
-                    )
-                policy.ptt = ptt_stack.store_for(run, tracer=policy.tracer)
-            # Kernel profiles are pure in (kernel, machine, place); the
-            # machine and the template's kernel objects are shared across
-            # the batch, so the memo carries over run to run.
             runtime._profile_cache = shared_profiles
+            if (
+                set(spec.metrics) <= RECORD_FREE_METRICS
+                and not runtime._tracing
+                and not runtime._faults_enabled
+                and not runtime.on_task_commit
+            ):
+                runtime.arm_lean_records()
+            metrics = extract_metrics(runtime.run(), spec.metrics)
         except Exception as exc:
-            payloads[run] = {
-                "err": {"type": type(exc).__name__, "message": str(exc)}
-            }
+            payloads.append(
+                {"err": {"type": type(exc).__name__, "message": str(exc)}}
+            )
         else:
-            entries.append((run, spec, runtime))
-
-    if lockstep:
-        mode = "lockstep"
-        for run, payload in drive_runs(entries, ptt_stack).items():
-            payloads[run] = payload
-    else:
-        mode = "scalar"
-        for run, spec, runtime in entries:
-            try:
-                result = runtime.run()
-                metrics = extract_metrics(result, spec.metrics)
-            except Exception as exc:
-                payloads[run] = {
-                    "err": {"type": type(exc).__name__, "message": str(exc)}
-                }
-            else:
-                payloads[run] = {"ok": metrics}
+            payloads.append({"ok": metrics})
 
     # Telemetry: this runs in the sweep worker; the engine merges the
-    # worker's snapshot, so these land in --watch and the HTML report.
+    # worker's snapshot, so this lands in --watch and the HTML report.
     reg = get_registry()
     if reg.enabled:
         reg.gauge(
             "sweep_batch_runs", "replicates in the latest executed batch"
-        ).set(runs)
-        if mode == "lockstep":
-            reg.counter(
-                "sweep_lockstep_batches_total",
-                "batches executed by the lockstep co-advance driver",
-            ).inc()
-        else:
-            reg.counter(
-                "sweep_scalar_batches_total",
-                "batches executed on the legacy run-in-turn scalar path",
-            ).inc()
-    return payloads, mode  # type: ignore[return-value]
-
-
-def execute_batch(specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
-    """Run N same-cell replicates in one batched pass.
-
-    Returns one payload per replicate, in order: ``{"ok": metrics}`` on
-    success or ``{"err": {"type", "message"}}`` when that replicate's
-    construction or execution raised (mirroring the scalar engine's
-    deterministic-failure capture; one broken replicate never aborts its
-    batchmates).
-
-    Shared across the batch: the machine (static topology, built once),
-    the DAG template (each run instantiates a fresh graph from it), the
-    kernel cost-profile cache, the stacked PTT matrices and the stacked
-    rate matrices.  Per replicate: environment, speed-model dynamics,
-    scheduler state, RNG streams — everything that makes its metrics
-    bit-identical to a scalar run of the same spec.  Execution itself is
-    the lockstep co-advance driver unless ``REPRO_LOCKSTEP=0`` (see the
-    module docstring and :mod:`repro.core.lockstep`).
-    """
-    payloads, _mode = _execute_batch_impl(specs)
+        ).set(len(specs))
     return payloads
 
 
 def run_batch_spec(spec: RunSpec) -> Dict[str, Any]:
-    """Executor body of the :data:`~repro.sweep.spec.BATCH_KIND` kind.
-
-    The payload carries ``mode`` (``"lockstep"`` or ``"scalar"``) so the
-    engine can record how each batch actually executed in the manifest.
-    """
-    payloads, mode = _execute_batch_impl(parse_batch_spec(spec))
-    return {"replicates": payloads, "mode": mode}
+    """Executor body of the :data:`~repro.sweep.spec.BATCH_KIND` kind."""
+    return {"replicates": execute_batch(parse_batch_spec(spec))}
 
 
 __all__ = [
     "BATCH_KIND",
-    "BatchedPttStore",
-    "BatchedRates",
-    "BatchedSpeedModel",
     "batch_group_key",
     "batch_ineligible_reason",
     "can_batch",

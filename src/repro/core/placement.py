@@ -219,111 +219,6 @@ def _scan_performance(
     return best_place
 
 
-def batched_scan_cost(
-    machine: Machine,
-    values_rows: "np.ndarray",
-    backlogs: Sequence[Optional[Backlog]],
-) -> List[ExecutionPlace]:
-    """Runs-axis :func:`_scan_cost`: one cost argmin per batched run.
-
-    ``values_rows`` is a ``(runs x slots)`` matrix (one PTT row per run);
-    the primary key ``values * widths`` and its first-occurrence argmin
-    are computed for all runs in one numpy pass, then each run's
-    near-tie re-rank runs the scalar tie-break loop verbatim on that
-    run's row (as Python floats), so every run's decision is bit-identical
-    to :func:`_scan_cost` on its own table.
-    """
-    keys = values_rows * machine._place_widths
-    best_slots = np.argmin(keys, axis=1)
-    places = machine.places
-    widths = machine._place_widths_list
-    members = machine._place_members
-    out: List[ExecutionPlace] = []
-    for run in range(values_rows.shape[0]):
-        best = int(best_slots[run])
-        winner = places[best]
-        backlog = backlogs[run]
-        if backlog is None:
-            out.append(winner)
-            continue
-        values = values_rows[run].tolist()
-        best_key = values[best] * widths[best]
-        threshold = best_key * (1.0 + TIE_TOLERANCE)
-        width = winner.width
-        best_pair = None
-        best_place = winner
-        for slot in range(len(widths)):
-            if widths[slot] != width or values[slot] * widths[slot] > threshold:
-                continue
-            place = places[slot]
-            load = max(backlog(core) for core in members[slot])
-            pair = (load, place)
-            if best_pair is None or pair < best_pair:
-                best_pair = pair
-                best_place = place
-        out.append(best_place)
-    return out
-
-
-def batched_scan_performance(
-    machine: Machine,
-    values_rows: "np.ndarray",
-    slots: Optional[Sequence[int]],
-    backlogs: Sequence[Optional[Backlog]],
-) -> List[ExecutionPlace]:
-    """Runs-axis :func:`_scan_performance`: one time argmin per run.
-
-    With ``slots`` given the search is restricted to that subset (e.g.
-    the width-one places) for every run; the restricted argmin scans the
-    subset columns in ``slots`` order, matching the scalar loop's
-    first-wins traversal, and the tie-break (no width filter, subset
-    pool) is the scalar restricted branch run per row.
-    """
-    places = machine.places
-    if slots is None:
-        best_slots = np.argmin(values_rows, axis=1)
-    else:
-        slots = list(slots)
-        restricted = values_rows[:, slots]
-        best_slots = np.argmin(restricted, axis=1)
-    members = machine._place_members
-    out: List[ExecutionPlace] = []
-    for run in range(values_rows.shape[0]):
-        if slots is None:
-            best = int(best_slots[run])
-        else:
-            best = slots[int(best_slots[run])]
-        winner = places[best]
-        backlog = backlogs[run]
-        if backlog is None:
-            out.append(winner)
-            continue
-        values = values_rows[run].tolist()
-        best_key = values[best]
-        threshold = best_key * (1.0 + TIE_TOLERANCE)
-        best_pair = None
-        best_place = winner
-        if slots is None:
-            width = winner.width
-            pool = range(len(values))
-        else:
-            width = None
-            pool = slots
-        for slot in pool:
-            if values[slot] > threshold:
-                continue
-            if width is not None and places[slot].width != width:
-                continue
-            place = places[slot]
-            load = max(backlog(core) for core in members[slot])
-            pair = (load, place)
-            if best_pair is None or pair < best_pair:
-                best_pair = pair
-                best_place = place
-        out.append(best_place)
-    return out
-
-
 def local_search_cost(
     ptt: PerformanceTraceTable, machine: Machine, core: int
 ) -> ExecutionPlace:

@@ -68,15 +68,6 @@ class DaScheduler(SchedulerPolicy):
             return self._best_single_core(task)
         return ExecutionPlace(core, 1)
 
-    def batched_query(self, task: Task):
-        # High-priority placement is the restricted width-one performance
-        # scan over the task type's PTT row — batchable across runs.
-        # Low-priority placement depends on the dequeuing core, so it
-        # stays synchronous (and costs nothing anyway).
-        if task.is_high_priority:
-            return ("perf_w1", task.type_name)
-        return None
-
 
 class DamCScheduler(SchedulerPolicy):
     """DAM-C — dynamic asymmetry + moldability, targeting parallel cost.
@@ -124,14 +115,6 @@ class DamCScheduler(SchedulerPolicy):
             return self._global(task)
         return local_search_cost(self.table(task), machine, core)
 
-    def batched_query(self, task: Task):
-        # The global cost search reads only the type's PTT row; the
-        # scalable two-stage index keeps incremental per-run state the
-        # batch driver does not model, so it answers synchronously.
-        if task.is_high_priority and not self.scalable_search:
-            return ("cost", task.type_name)
-        return None
-
 
 class DamPScheduler(DamCScheduler):
     """DAM-P — dynamic asymmetry + moldability, targeting performance."""
@@ -147,8 +130,3 @@ class DamPScheduler(DamCScheduler):
         return global_search_performance(
             self.table(task), self._require_bound(), backlog=self.backlog
         )
-
-    def batched_query(self, task: Task):
-        if task.is_high_priority and not self.scalable_search:
-            return ("perf", task.type_name)
-        return None

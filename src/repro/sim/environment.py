@@ -196,19 +196,6 @@ class Environment:
         """Register ``generator`` as a process starting at the current time."""
         return Process(self, generator, name=name)
 
-    def next_event_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when the queue is empty.
-
-        A read-only peek (defunct heads are dropped, nothing is popped):
-        the lockstep batch driver orders its merged-calendar wavefront
-        across co-advancing environments by this value, and it is handy
-        for any external driver stepping an environment manually.
-        """
-        try:
-            return self._queue.peek_time()
-        except IndexError:
-            return None
-
     def schedule_at(self, time: float, event: Event) -> None:
         """Trigger a prepared (untriggered) event at an absolute time."""
         if time < self._now:

@@ -104,28 +104,6 @@ class Event:
         self.env._push(self, NORMAL)
         return self
 
-    def trigger_direct(self, value: Any = None) -> None:
-        """Trigger *and* process in place, bypassing the heap.
-
-        Attaches ``value`` and runs the callbacks immediately, without a
-        push/pop round-trip.  This is the delivery primitive for
-        same-instant handoffs whose ordering the caller already
-        controls: the lockstep batch driver resumes a parked worker this
-        way (:mod:`repro.core.lockstep`), and the executor's spin-tick
-        driver inlines the same pattern for its steal barrier.  The
-        caller must be executing inside the event loop's current step —
-        the callbacks run *now*, at ``env.now``, before any queued
-        event — and the event must still be pending.
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = True
-        self._value = value
-        callbacks = self.callbacks
-        self.callbacks = None
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
             "processed"

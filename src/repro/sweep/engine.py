@@ -179,9 +179,6 @@ class SweepStats:
     #: and ``executed`` always count *replicates*, never batches.
     batches: int = 0
     batched_runs: int = 0
-    #: Of ``batches``, how many executed under the lockstep co-advance
-    #: driver (the rest ran the legacy scalar-in-turn batch path).
-    lockstep_batches: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -216,8 +213,6 @@ class SweepStats:
                 f"; batched: {self.batched_runs} replicates in "
                 f"{self.batches} batch{'es' if self.batches != 1 else ''}"
             )
-            if self.lockstep_batches:
-                text += f" ({self.lockstep_batches} lockstep)"
         return text
 
     def as_dict(self) -> Dict[str, Any]:
@@ -242,7 +237,6 @@ class SweepStats:
             "exhausted": self.exhausted,
             "batches": self.batches,
             "batched_runs": self.batched_runs,
-            "lockstep_batches": self.lockstep_batches,
         }
 
 
@@ -385,7 +379,6 @@ class _BatchStats:
     workers: int = 0
     batches: int = 0
     batched_runs: int = 0
-    lockstep_batches: int = 0
 
 
 class SweepRunner:
@@ -599,7 +592,6 @@ class SweepRunner:
         #: pool assignments against interned base specs.  Same counter
         #: names as the cluster coordinator — get-or-create, so a shared
         #: hub aggregates both paths.
-        self._dispatch_fast = wire.dispatch_fast_default()
         self._interner = wire.SpecInterner()
         self._m_dispatch_frames = reg.counter(
             "dispatch_frames_total",
@@ -631,13 +623,10 @@ class SweepRunner:
         #: for replicates that actually executed batched (manifest).
         self._batch_members: Dict[str, List[Tuple[str, RunSpec]]] = {}
         self._batched_width: Dict[str, int] = {}
-        #: Replicate key -> execution mode of its batch ("lockstep" or
-        #: "scalar"), and replicate key -> why it did *not* run batched
-        #: (an eligibility reason from
-        #: :func:`repro.core.batched.batch_ineligible_reason`,
-        #: "solo-replicate", "batch-failed", or "batching-off").  Both
-        #: feed the manifest's structured ``batched`` entry.
-        self._batched_mode: Dict[str, str] = {}
+        #: Replicate key -> why it did *not* run batched (an eligibility
+        #: reason from :func:`repro.core.batched.batch_ineligible_reason`,
+        #: "solo-replicate", "batch-failed", or "batching-off"); feeds the
+        #: manifest's structured ``batched`` entry.
         self._batch_reason: Dict[str, str] = {}
 
     # -- cache ----------------------------------------------------------
@@ -762,7 +751,6 @@ class SweepRunner:
         self._history = {}
         self._batch_members = {}
         self._batched_width = {}
-        self._batched_mode = {}
         self._batch_reason = {}
         tele = self.telemetry
         tele.set_progress(0, 0, None)
@@ -1033,11 +1021,6 @@ class SweepRunner:
         marginal = wall / width
         self.cost_model.observe(job.spec, wall)
         batch.batches += 1
-        mode = metrics.get("mode") if isinstance(metrics, dict) else None
-        if mode not in ("lockstep", "scalar"):
-            mode = "scalar"
-        if mode == "lockstep":
-            batch.lockstep_batches += 1
         self._m_batch_width.observe(width)
         for (rep_key, rep_spec), payload in zip(members, reps):
             self._attempts[rep_key] = attempts
@@ -1065,7 +1048,6 @@ class SweepRunner:
             walls[rep_key] = marginal
             self._sources[rep_key] = "executed"
             self._batched_width[rep_key] = width
-            self._batched_mode[rep_key] = mode
             self._history.setdefault(rep_key, []).append(
                 {"attempt": attempts, "outcome": "ok", "wall": marginal}
             )
@@ -1458,20 +1440,19 @@ class SweepRunner:
                 with phase_scope("dispatch"):
                     payload: Any = job.spec
                     base_frame = None
-                    if self._dispatch_fast:
-                        enc = self._interner.encode(job.spec)
-                        if enc.delta is not None:
-                            if enc.base_id not in handle.bases_sent:
-                                base = self._interner.bases[enc.base_id]
-                                base_frame = (
-                                    _BASE_TAG,
-                                    enc.base_id,
-                                    wire.spec_to_wire(base),
-                                )
-                            payload = (enc.base_id, enc.delta)
-                            self._m_dispatch_deltas.inc()
-                        self._m_dispatch_bytes.inc(enc.wire_bytes)
-                        self._m_dispatch_saved.inc(enc.saved_bytes)
+                    enc = self._interner.encode(job.spec)
+                    if enc.delta is not None:
+                        if enc.base_id not in handle.bases_sent:
+                            base = self._interner.bases[enc.base_id]
+                            base_frame = (
+                                _BASE_TAG,
+                                enc.base_id,
+                                wire.spec_to_wire(base),
+                            )
+                        payload = (enc.base_id, enc.delta)
+                        self._m_dispatch_deltas.inc()
+                    self._m_dispatch_bytes.inc(enc.wire_bytes)
+                    self._m_dispatch_saved.inc(enc.saved_bytes)
                     sent = True
                     try:
                         if base_frame is not None:
@@ -1691,7 +1672,6 @@ class SweepRunner:
             exhausted=batch.exhausted,
             batches=batch.batches,
             batched_runs=batch.batched_runs,
-            lockstep_batches=batch.lockstep_batches,
         )
         self._finish(stats)
         if self.manifest_dir is not None:
@@ -1762,7 +1742,7 @@ class SweepRunner:
         total_hits = total_executed = total_unique = 0
         total_failures = total_retries = total_timeouts = total_resumed = 0
         total_exhausted = 0
-        total_batches = total_batched_runs = total_lockstep = 0
+        total_batches = total_batched_runs = 0
         max_workers = 0
 
         self._log(
@@ -1807,7 +1787,6 @@ class SweepRunner:
             total_exhausted += batch.exhausted
             total_batches += batch.batches
             total_batched_runs += batch.batched_runs
-            total_lockstep += batch.lockstep_batches
             max_workers = max(max_workers, batch.workers)
             for cell_key, rep_key in owners:
                 rep_results[cell_key].append(results[rep_key])
@@ -1886,7 +1865,6 @@ class SweepRunner:
             exhausted=total_exhausted,
             batches=total_batches,
             batched_runs=total_batched_runs,
-            lockstep_batches=total_lockstep,
         )
         m_seeds_added.inc(stats.seeds_added)
         m_seeds_saved.inc(stats.seeds_saved)
@@ -1934,16 +1912,12 @@ class SweepRunner:
                 "history": self._history.get(key, []),
             }
             # ``batched`` is structured: executed batches carry their
-            # width and driver mode; everything else records *why* it
-            # ran scalar ("batching-off" = never considered, e.g. a
-            # plain non-adaptive sweep or ``--batch-runs off``).
+            # width; everything else records *why* it ran scalar
+            # ("batching-off" = never considered, e.g. a plain
+            # non-adaptive sweep or ``--batch-runs off``).
             width = self._batched_width.get(key)
             if width is not None:
-                entry["batched"] = {
-                    "batched": True,
-                    "width": width,
-                    "mode": self._batched_mode.get(key, "scalar"),
-                }
+                entry["batched"] = {"batched": True, "width": width}
                 entry["batch"] = width
             else:
                 entry["batched"] = {

@@ -176,10 +176,11 @@ def _fault_scalar(key: str, default: float = 0):
 
 
 #: Metrics computed from RunResult scalars alone — no per-task records,
-#: no collector accounting.  When a batched cell demands only these, the
-#: lockstep driver runs its replicates in lean-records mode (the runtime
-#: skips TaskRecord construction and collector bookkeeping entirely; see
-#: repro.core.lockstep).  Extraction output is unaffected either way.
+#: no collector accounting.  When a batched cell demands only these,
+#: repro.core.batched.execute_batch runs its replicates in lean-records
+#: mode (SimulatedRuntime.arm_lean_records: the runtime skips TaskRecord
+#: construction and collector bookkeeping entirely).  Extraction output
+#: is unaffected either way.
 RECORD_FREE_METRICS = frozenset(
     {"makespan", "tasks_completed", "throughput"}
 )

@@ -30,22 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.sweep.spec import BATCH_KIND, RunSpec
-
-
-def dispatch_fast_default() -> bool:
-    """The dispatch fast lane's default: on unless ``REPRO_DISPATCH_FAST=0``.
-
-    One knob for every dispatch path (cluster coordinator and worker,
-    local pool): ``0`` restores the pre-fast-lane wire format and
-    polling cadence for apples-to-apples benchmarking.
-    """
-    return os.environ.get("REPRO_DISPATCH_FAST", "1") != "0"
 
 
 class SpecDeltaError(ReproError):
@@ -117,6 +107,36 @@ def wire_id(spec: RunSpec) -> str:
     return digest
 
 
+_MISSING = object()
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Whether two JSON values have one wire form.
+
+    Stricter than ``==``, which holds for ``False == 0``, ``1 == 1.0``
+    and ``0.0 == -0.0``: a delta that dropped such a change would rebuild
+    a spec with a different key.
+    """
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is dict:
+        if len(a) != len(b):
+            return False
+        for k, v in a.items():
+            other = b.get(k, _MISSING)
+            if v is not other and not _same(v, other):
+                return False
+        return True
+    if kind is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if kind is float:
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
 def encode_delta(base: RunSpec, spec: RunSpec) -> Dict[str, Any]:
     """Minimal diff turning ``base`` into ``spec`` (shallow on params/tags).
 
@@ -133,7 +153,7 @@ def encode_delta(base: RunSpec, spec: RunSpec) -> Dict[str, Any]:
     changed = {
         k: v
         for k, v in spec.params.items()
-        if k not in base.params or base.params[k] != v
+        if k not in base.params or not _same(base.params[k], v)
     }
     dropped = sorted(k for k in base.params if k not in spec.params)
     if changed:
@@ -143,7 +163,7 @@ def encode_delta(base: RunSpec, spec: RunSpec) -> Dict[str, Any]:
     tag_changed = {
         k: v
         for k, v in spec.tags.items()
-        if k not in base.tags or base.tags[k] != v
+        if k not in base.tags or not _same(base.tags[k], v)
     }
     tag_dropped = sorted(k for k in base.tags if k not in spec.tags)
     if tag_changed:
@@ -345,7 +365,6 @@ __all__ = [
     "SpecDeltaError",
     "SpecInterner",
     "apply_delta",
-    "dispatch_fast_default",
     "encode_delta",
     "spec_from_wire",
     "spec_to_wire",

@@ -231,7 +231,7 @@ class TestCostModel:
         members = [replicate_spec(member, rep) for rep in range(4)]
         pseudo = make_batch_spec(members)
 
-        # A lockstep batch is cheaper per replicate than a scalar run;
+        # A batch can be cheaper per replicate than a scalar run;
         # observing its wall must not drag down the scalar estimate.
         model.observe(member, 10.0)
         model.observe(pseudo, 8.0)  # marginal 2.0 << scalar 10.0

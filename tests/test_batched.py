@@ -2,63 +2,44 @@
 
 Contracts under test:
 
-* A :class:`BatchedPttStore` row view behaves bit-identically to a
-  scalar :class:`PerformanceTraceTable` over arbitrary update sequences,
-  including lost-core pinning, and ``update_slot_runs`` equals a loop of
-  per-run scalar updates.
 * ``execute_batch`` returns metrics bit-identical (``==``, not approx)
-  to scalar ``execute_spec`` per replicate, for random cells and widths.
+  to scalar ``execute_spec`` per replicate, for random cells, every
+  scheduler and widths 1..8 (including a divergent-seed steal storm),
+  and a replicate failing at construction or mid-run never aborts its
+  batchmates.
 * ``run_adaptive`` with ``batch_runs="auto"`` returns exactly the
   results of ``batch_runs="off"``, with per-replicate cache entries and
   per-replicate ``seeds_added`` accounting.
-* The lockstep co-advance driver (:mod:`repro.core.lockstep`), with
-  decision and fold parking forced on, is bit-identical to the legacy
-  scalar-in-turn batch path across schedulers, run counts 1..8 and
-  divergent-seed steal storms, and a replicate failing mid-drive never
-  aborts its batchmates.
 * Fallback triggers: fault scenarios, seeded-RNG (unkeyable) kernels,
   traced runs and non-``single`` executors are rejected by
   :func:`can_batch` (with a specific :func:`batch_ineligible_reason`)
   and take the scalar path end to end.
-* The manifest's structured ``batched`` entry carries width + driver
-  mode for batched replicates and the fallback reason for scalar ones,
-  and the CLI/settings knob validates its inputs.
+* The manifest's structured ``batched`` entry carries the width for
+  batched replicates and the fallback reason for scalar ones, and the
+  CLI/settings knob validates its inputs.
 """
 
 import json
-import os
-from contextlib import contextmanager
 
-import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batched import (
-    BatchedPttStore,
-    BatchedRates,
-    BatchedSpeedModel,
     batch_group_key,
     batch_ineligible_reason,
     can_batch,
     execute_batch,
     make_batch_spec,
     parse_batch_spec,
-    run_batch_spec,
 )
-from repro.core.ptt import PerformanceTraceTable, PttStore
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.fig4_corunner import fig4_spec
-from repro.machine.presets import jetson_tx2
-from repro.sim.environment import Environment
 from repro.sweep import AdaptivePolicy, RunSpec, SweepRunner, replicate_spec
 from repro.sweep.engine import _parse_batch_runs
 from repro.sweep.registry import execute_spec
 
-FAST = settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
 TINY = settings(
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -73,175 +54,6 @@ def _cell(scheduler="dam-c", kernel="matmul", parallelism=2, seed=0):
 
 def _replicates(spec, n):
     return [replicate_spec(spec, rep) for rep in range(n)]
-
-
-@contextmanager
-def _env(**overrides):
-    """Temporarily set (value) or unset (None) environment variables."""
-    saved = {key: os.environ.get(key) for key in overrides}
-    for key, value in overrides.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    try:
-        yield
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
-
-
-#: Force every lockstep feature on, so decision parking and fold parking
-#: are exercised even on the small test machine and narrow batches that
-#: the auto gates would otherwise leave scalar.
-LOCKSTEP_ON = dict(
-    REPRO_LOCKSTEP="1",
-    REPRO_LOCKSTEP_DECISIONS="on",
-    REPRO_LOCKSTEP_FOLDS="on",
-)
-
-
-# ----------------------------------------------------------------------
-# stacked PTT
-# ----------------------------------------------------------------------
-
-update_seq = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=16),  # slot index (mod n_slots)
-        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-    ),
-    max_size=30,
-)
-
-
-class TestBatchedPtt:
-    @given(
-        runs=st.integers(min_value=1, max_value=4),
-        seqs=st.lists(update_seq, min_size=1, max_size=4),
-        lost=st.lists(st.integers(min_value=0, max_value=5), max_size=2),
-    )
-    @FAST
-    def test_row_view_matches_scalar_table(self, runs, seqs, lost):
-        machine = jetson_tx2()
-        n_slots = len(machine.places)
-        store = BatchedPttStore(machine, runs)
-        scalars = [
-            PerformanceTraceTable(machine, 1, 5, label="matmul")
-            for _ in range(runs)
-        ]
-        views = [
-            store.store_for(run).table("matmul") for run in range(runs)
-        ]
-        for run in range(runs):
-            seq = seqs[run % len(seqs)]
-            for slot, observed in seq:
-                slot %= n_slots
-                scalars[run].update_slot(slot, observed)
-                views[run].update_slot(slot, observed)
-            for core in lost:
-                scalars[run].mark_core_lost(core)
-                views[run].mark_core_lost(core)
-        for run in range(runs):
-            np.testing.assert_array_equal(
-                np.asarray(scalars[run].predict_all()),
-                np.asarray(views[run].predict_all()),
-            )
-            assert scalars[run]._values_list == views[run]._values_list
-            # The stacked matrix sees exactly what the row views wrote.
-            np.testing.assert_array_equal(
-                store.predict_all_runs("matmul")[run],
-                np.asarray(views[run].predict_all()),
-            )
-
-    @given(
-        runs=st.integers(min_value=1, max_value=5),
-        steps=st.integers(min_value=0, max_value=12),
-        data=st.data(),
-    )
-    @FAST
-    def test_update_slot_runs_equals_scalar_loop(self, runs, steps, data):
-        machine = jetson_tx2()
-        n_slots = len(machine.places)
-        batched = BatchedPttStore(machine, runs)
-        looped = BatchedPttStore(machine, runs)
-        loop_tables = [
-            looped.store_for(run).table("k") for run in range(runs)
-        ]
-        for _ in range(steps):
-            slots = data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=n_slots - 1),
-                    min_size=runs, max_size=runs,
-                )
-            )
-            obs = data.draw(
-                st.lists(
-                    st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-                    min_size=runs, max_size=runs,
-                )
-            )
-            batched.update_slot_runs("k", slots, obs)
-            for run in range(runs):
-                loop_tables[run].update_slot(slots[run], obs[run])
-        np.testing.assert_array_equal(
-            batched.predict_all_runs("k"), looped.predict_all_runs("k")
-        )
-        np.testing.assert_array_equal(
-            batched.samples_all_runs("k"), looped.samples_all_runs("k")
-        )
-        np.testing.assert_array_equal(batched.stack(), looped.stack())
-
-    def test_store_for_validates_run(self):
-        store = BatchedPttStore(jetson_tx2(), 2)
-        with pytest.raises(ConfigurationError):
-            store.store_for(2)
-        with pytest.raises(ConfigurationError):
-            store.store_for(-1)
-
-    def test_update_slot_runs_validates_shapes(self):
-        store = BatchedPttStore(jetson_tx2(), 3)
-        with pytest.raises(ConfigurationError):
-            store.update_slot_runs("k", [0, 1], [1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            store.update_slot_runs("k", [0, 1, 2], [1.0, -2.0, 3.0])
-
-    def test_empty_stack_shape(self):
-        machine = jetson_tx2()
-        store = BatchedPttStore(machine, 3)
-        assert store.stack().shape == (3, 0, len(machine.places))
-        assert store.kinds() == ()
-
-
-class TestBatchedRates:
-    def test_speed_model_mirrors_transitions_into_row(self):
-        machine = jetson_tx2()
-        rates = BatchedRates(machine, 3)
-        env = Environment()
-        speed = BatchedSpeedModel(env, machine, rates, run=1)
-        speed.set_freq_scale([0, 1], 0.25)
-        speed.set_cpu_share([2], 0.5)
-        speed.set_fault_scale([3], 0.0)
-        assert rates.freq_scale[1, 0] == 0.25
-        assert rates.freq_scale[1, 1] == 0.25
-        assert rates.cpu_share[1, 2] == 0.5
-        assert rates.fault_scale[1, 3] == 0.0
-        # Other rows stay pristine.
-        assert np.all(rates.freq_scale[0] == 1.0)
-        assert np.all(rates.freq_scale[2] == 1.0)
-        # The mirrored row agrees with the scalar model's own view.
-        for core in range(machine.num_cores):
-            assert rates.effective()[1, core] == pytest.approx(
-                speed.core_rate(core)
-            )
-
-    def test_run_bounds_checked(self):
-        machine = jetson_tx2()
-        rates = BatchedRates(machine, 2)
-        with pytest.raises(ConfigurationError):
-            BatchedSpeedModel(Environment(), machine, rates, run=2)
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +119,23 @@ class TestEligibility:
         with pytest.raises(ConfigurationError):
             make_batch_spec([_cell()])
 
+    def test_ineligible_reasons_are_specific(self):
+        assert batch_ineligible_reason(_cell()) is None
+        spec = _cell()
+        params = dict(spec.params)
+        params["trace"] = {"out_dir": "x", "label": "y"}
+        assert batch_ineligible_reason(
+            RunSpec(kind="single", params=params)
+        ) == "traced"
+        params = dict(spec.params)
+        params["scenario"] = {"name": "faults", "rate": 0.1}
+        assert batch_ineligible_reason(
+            RunSpec(kind="single", params=params)
+        ) == "faults"
+        assert batch_ineligible_reason(
+            RunSpec(kind="heat_cluster", params={})
+        ) == "executor:heat_cluster"
+
 
 # ----------------------------------------------------------------------
 # bit-identity of batched execution
@@ -314,11 +143,17 @@ class TestEligibility:
 
 class TestExecuteBatch:
     @given(
-        scheduler=st.sampled_from(["rws", "fa", "fam-c", "da", "dam-c"]),
+        scheduler=st.sampled_from(
+            ["rws", "fa", "fam-c", "da", "dam-c", "dam-p"]
+        ),
         parallelism=st.integers(min_value=2, max_value=4),
-        width=st.integers(min_value=2, max_value=4),
+        width=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # Steal storm: high parallelism on the small machine forces heavy
+    # stealing, and the six seeds diverge at their first steal-victim
+    # draw.
+    @example(scheduler="da", parallelism=8, width=6, seed=7)
     @TINY
     def test_bit_identical_to_scalar_per_replicate(
         self, scheduler, parallelism, width, seed
@@ -354,65 +189,9 @@ class TestExecuteBatch:
         assert "ok" in payloads[0] and "ok" in payloads[2]
         assert payloads[1]["err"]["type"] == "RuntimeError"
 
-    def test_rejects_unbatchable_and_mixed(self):
-        spec = _cell()
-        params = dict(spec.params)
-        params["scenario"] = {"name": "faults", "rate": 0.1}
-        bad = RunSpec(kind="single", params=params)
-        with pytest.raises(ConfigurationError):
-            execute_batch([bad, bad])
-        with pytest.raises(ConfigurationError):
-            execute_batch([_cell(), _cell(scheduler="rws")])
-        assert execute_batch([]) == []
-
-
-# ----------------------------------------------------------------------
-# lockstep co-advance driver
-# ----------------------------------------------------------------------
-
-class TestLockstep:
-    """The lockstep driver (:mod:`repro.core.lockstep`).
-
-    Bit-identity is the non-negotiable contract: with decision and fold
-    parking forced on, co-advanced runs must produce payloads equal
-    (``==``, not approx) to the legacy scalar-in-turn path for every
-    scheduler, run count and seed.
-    """
-
-    @given(
-        scheduler=st.sampled_from(
-            ["rws", "fa", "fam-c", "da", "dam-c", "dam-p"]
-        ),
-        width=st.integers(min_value=1, max_value=8),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @TINY
-    def test_lockstep_bit_identical_to_scalar(self, scheduler, width, seed):
-        members = _replicates(_cell(scheduler=scheduler, seed=seed), width)
-        with _env(REPRO_LOCKSTEP="0"):
-            scalar = execute_batch(members)
-        with _env(**LOCKSTEP_ON):
-            lock = execute_batch(members)
-        assert lock == scalar
-
-    def test_steal_storm_with_divergent_seeds(self):
-        # High parallelism on the small machine forces heavy stealing;
-        # the six seeds diverge at their first steal-victim draw, so the
-        # runs park at thoroughly different simulated times.
-        members = _replicates(
-            _cell(scheduler="da", parallelism=8, seed=7), 6
-        )
-        with _env(REPRO_LOCKSTEP="0"):
-            scalar = execute_batch(members)
-        with _env(**LOCKSTEP_ON):
-            lock = execute_batch(members)
-        assert lock == scalar
-        assert all("ok" in p for p in lock)
-
-    def test_mid_drive_failure_never_aborts_batchmates(self, monkeypatch):
+    def test_mid_run_failure_never_aborts_batchmates(self, monkeypatch):
         members = _replicates(_cell(scheduler="dam-c"), 4)
-        with _env(REPRO_LOCKSTEP="0"):
-            scalar = execute_batch(members)
+        scalar = [execute_spec(spec) for spec in members]
         from repro.core.policies import registry as policy_registry
 
         real = policy_registry.make_scheduler
@@ -427,7 +206,7 @@ class TestLockstep:
 
                 def boom(task, core):
                     calls["n"] += 1
-                    if calls["n"] > 5:  # deep into the drive phase
+                    if calls["n"] > 5:  # deep into the run
                         raise RuntimeError("replicate 1 exploded")
                     return orig(task, core)
 
@@ -437,54 +216,22 @@ class TestLockstep:
         monkeypatch.setattr(
             "repro.core.policies.registry.make_scheduler", flaky
         )
-        with _env(**LOCKSTEP_ON):
-            lock = execute_batch(members)
-        assert lock[1]["err"]["type"] == "RuntimeError"
-        assert [lock[i] for i in (0, 2, 3)] == [
+        payloads = execute_batch(members)
+        assert payloads[1]["err"]["type"] == "RuntimeError"
+        assert [payloads[i]["ok"] for i in (0, 2, 3)] == [
             scalar[i] for i in (0, 2, 3)
         ]
 
-    def test_run_batch_spec_reports_mode(self):
-        pseudo = make_batch_spec(_replicates(_cell(), 3))
-        with _env(**LOCKSTEP_ON):
-            on = run_batch_spec(pseudo)
-        with _env(REPRO_LOCKSTEP="0"):
-            off = run_batch_spec(pseudo)
-        assert on["mode"] == "lockstep"
-        assert off["mode"] == "scalar"
-        assert on["replicates"] == off["replicates"]
-
-    def test_knobs(self):
-        from repro.core import lockstep
-
-        assert lockstep.lockstep_enabled()  # default on
-        with _env(REPRO_LOCKSTEP="0"):
-            assert not lockstep.lockstep_enabled()
-        with _env(REPRO_LOCKSTEP_DECISIONS="off"):
-            assert lockstep._tri_state("REPRO_LOCKSTEP_DECISIONS") is False
-        with _env(REPRO_LOCKSTEP_DECISIONS="on"):
-            assert lockstep._tri_state("REPRO_LOCKSTEP_DECISIONS") is True
-        with _env(REPRO_LOCKSTEP_DECISIONS="auto"):
-            assert lockstep._tri_state("REPRO_LOCKSTEP_DECISIONS") is None
-        with _env(REPRO_LOCKSTEP_DECISIONS=None):  # unset: auto
-            assert lockstep._tri_state("REPRO_LOCKSTEP_DECISIONS") is None
-
-    def test_ineligible_reasons_are_specific(self):
-        assert batch_ineligible_reason(_cell()) is None
+    def test_rejects_unbatchable_and_mixed(self):
         spec = _cell()
         params = dict(spec.params)
-        params["trace"] = {"out_dir": "x", "label": "y"}
-        assert batch_ineligible_reason(
-            RunSpec(kind="single", params=params)
-        ) == "traced"
-        params = dict(spec.params)
         params["scenario"] = {"name": "faults", "rate": 0.1}
-        assert batch_ineligible_reason(
-            RunSpec(kind="single", params=params)
-        ) == "faults"
-        assert batch_ineligible_reason(
-            RunSpec(kind="heat_cluster", params={})
-        ) == "executor:heat_cluster"
+        bad = RunSpec(kind="single", params=params)
+        with pytest.raises(ConfigurationError):
+            execute_batch([bad, bad])
+        with pytest.raises(ConfigurationError):
+            execute_batch([_cell(), _cell(scheduler="rws")])
+        assert execute_batch([]) == []
 
 
 # ----------------------------------------------------------------------
@@ -567,11 +314,9 @@ class TestEngineIntegration:
         ]
         assert batched
         for r in batched:
-            assert r["batched"]["width"] == 3
-            assert r["batched"]["mode"] in ("lockstep", "scalar")
+            assert r["batched"] == {"batched": True, "width": 3}
             assert r["batch"] == 3  # legacy width field kept
         assert manifest["stats"]["batches"] >= 1
-        assert manifest["stats"]["lockstep_batches"] >= 1
         scalars = [
             r for r in manifest["runs"] if not r["batched"]["batched"]
         ]

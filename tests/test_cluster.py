@@ -490,6 +490,20 @@ class TestTcpWorkerSubprocess:
             for i in range(2)
         ]
         try:
+            # Both workers register before the sweep starts.  Otherwise
+            # the four tiny cells can all finish before the second worker
+            # connects; that worker then misses the shutdown and sits out
+            # its reconnect budget.
+            deadline = time.monotonic() + 30.0
+            while len(coordinator._workers) < 2:
+                exited = [p.returncode for p in workers if p.poll() is not None]
+                if exited or time.monotonic() > deadline:
+                    pytest.fail(
+                        f"{len(coordinator._workers)} of 2 TCP workers "
+                        f"registered within 30 s (exited: {exited})"
+                    )
+                coordinator._pump(time.monotonic())
+                time.sleep(0.01)
             got = runner.run(specs)
         finally:
             runner.close()  # sends shutdown to both workers
@@ -502,6 +516,21 @@ class TestTcpWorkerSubprocess:
         assert got == want
         # An orderly shutdown, not a kill, on both workers.
         assert [p.returncode for p in workers] == [0, 0]
+
+
+class TestWorkerEntryPoint:
+    def test_module_run_emits_no_runpy_warning(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.cluster.worker", "--help",
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSettingsValidation:

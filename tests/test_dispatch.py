@@ -4,7 +4,8 @@ Covers the delta codec (:mod:`repro.sweep.wire`) with Hypothesis
 round-trip and fuzz properties, RunSpec key memoization, batched
 leasing + spec-aware placement in the cluster coordinator, the framed
 TCP protocol's malformed-input behavior (typed error, never a hang),
-and fast-vs-legacy bit-identity through the real sweep engine.
+and pool / cluster-inproc bit-identity against serial through the real
+sweep engine.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import comm, protocol
@@ -119,6 +120,10 @@ class TestDeltaCodec:
         spec_seed=st.integers(min_value=0, max_value=2**40),
         metrics=_metrics,
     )
+    # Values Python calls equal but JSON spells differently.
+    @example(kind="single", base_params={"a": False, "b": 0.0},
+             spec_params={"a": 0, "b": -0.0}, base_tags={}, spec_tags={},
+             base_seed=0, spec_seed=0, metrics=["m"])
     def test_roundtrip(self, kind, base_params, spec_params, base_tags,
                        spec_tags, base_seed, spec_seed, metrics):
         base = _mk(kind, base_params, base_seed, metrics, base_tags)
@@ -288,7 +293,7 @@ class TestBatchedLeasing:
     def test_batched_grants_save_roundtrips(self):
         tele = Telemetry(enabled=True)
         coord = ClusterCoordinator(
-            "inproc://t-batch-grant", telemetry=tele, dispatch_fast=True
+            "inproc://t-batch-grant", telemetry=tele
         )
         worker = start_worker_thread(
             coord.address, name="w0", capacity=2
@@ -308,27 +313,9 @@ class TestBatchedLeasing:
         base_frames = _metric(tele, "dispatch_frames_total")
         assert base_frames > 0
 
-    def test_legacy_lane_uses_single_leases(self):
-        tele = Telemetry(enabled=True)
-        coord = ClusterCoordinator(
-            "inproc://t-legacy-grant", telemetry=tele, dispatch_fast=False
-        )
-        worker = start_worker_thread(coord.address, name="w0", capacity=1)
-        specs = [_spec(v) for v in range(4)]
-        try:
-            report = coord.execute([(s.key(), s, 1) for s in specs])
-        finally:
-            coord.close()
-            worker.stop()
-        assert all(o.status == "ok" for o in report.outcomes.values())
-        assert _metric(tele, "dispatch_roundtrips_saved_total") == 0
-        assert _metric(tele, "dispatch_deltas_total") == 0
-
     def test_batched_lease_revoke_still_two_phase(self):
         """A lease granted in a batch is still individually revocable."""
-        coord = ClusterCoordinator(
-            "inproc://t-batch-revoke", dispatch_fast=True
-        )
+        coord = ClusterCoordinator("inproc://t-batch-revoke")
         sink = _FrameSink()
         worker = _Remote(name="w0", conn=sink, capacity=2)
         coord._workers["w0"] = worker
@@ -367,9 +354,7 @@ class TestBatchedLeasing:
     def test_placement_prefers_fast_worker_for_head_cell(self):
         """Longest-first queue + fastest-first ranking = longest cell on
         the fastest host."""
-        coord = ClusterCoordinator(
-            "inproc://t-placement", dispatch_fast=True, prefetch=1
-        )
+        coord = ClusterCoordinator("inproc://t-placement", prefetch=1)
         slow, fast = _FrameSink(), _FrameSink()
         w_slow = _Remote(name="slow", conn=slow, capacity=1,
                          speed=0.2, speed_samples=3)
@@ -449,37 +434,28 @@ class TestDecodeFailureRetry:
             coord.close()
 
 
-# -- engine bit-identity: fast vs legacy across every path -------------
+# -- engine bit-identity: every dispatch path against serial ----------
 class TestEngineBitIdentity:
-    def _run(self, monkeypatch, fast: bool, tmp_path, **kw):
-        monkeypatch.setenv("REPRO_DISPATCH_FAST", "1" if fast else "0")
-        runner = SweepRunner(
-            use_cache=False, progress=False, **kw
-        )
+    def _run(self, **kw):
+        runner = SweepRunner(use_cache=False, progress=False, **kw)
         specs = [_spec(v, pad="y" * 40) for v in range(10)]
         try:
             return runner.run(specs)
         finally:
             runner.close()
 
-    def test_pool_fast_vs_legacy_bit_identical(self, monkeypatch, tmp_path):
-        fast = self._run(monkeypatch, True, tmp_path, jobs=2)
-        legacy = self._run(monkeypatch, False, tmp_path, jobs=2)
-        inline = self._run(monkeypatch, True, tmp_path, jobs=1)
-        assert fast == legacy == inline
-        assert [row["value"] for row in fast] == [float(v) for v in range(10)]
+    def test_pool_bit_identical_to_serial(self):
+        pool = self._run(jobs=2)
+        serial = self._run(jobs=1)
+        assert pool == serial
+        assert [row["value"] for row in pool] == [float(v) for v in range(10)]
 
-    def test_cluster_fast_vs_legacy_bit_identical(self, monkeypatch,
-                                                  tmp_path):
-        fast = self._run(monkeypatch, True, tmp_path, jobs=2,
-                         cluster="inproc")
-        legacy = self._run(monkeypatch, False, tmp_path, jobs=2,
-                           cluster="inproc")
-        inline = self._run(monkeypatch, True, tmp_path, jobs=1)
-        assert fast == legacy == inline
+    def test_cluster_inproc_bit_identical_to_serial(self):
+        cluster = self._run(jobs=2, cluster="inproc")
+        serial = self._run(jobs=1)
+        assert cluster == serial
 
-    def test_pool_ships_deltas(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_FAST", "1")
+    def test_pool_ships_deltas(self):
         tele = Telemetry(enabled=True)
         runner = SweepRunner(
             jobs=2, use_cache=False, progress=False, telemetry=tele

@@ -130,6 +130,16 @@ class TestLifecycleErrors:
         with pytest.raises(RuntimeStateError):
             runtime.start()
 
+    def test_lean_records_must_be_armed_before_start(self, kernel):
+        g = TaskGraph()
+        g.add_task(kernel)
+        runtime = SimulatedRuntime(
+            Environment(), jetson_tx2(), g, make_scheduler("rws")
+        )
+        runtime.start()
+        with pytest.raises(RuntimeStateError, match="before start"):
+            runtime.arm_lean_records()
+
     def test_max_time_exceeded(self, kernel):
         g = chain_dag(kernel, 50)
         config = RuntimeConfig(max_time=1e-3)
