@@ -501,11 +501,11 @@ class SpeedModel:
                 cores if shared_core else (),
                 {domain: factor_before} if factor_changed else {},
             )
-            if not (shared_core or factor_changed):
-                # Neither selection criterion covers the new item itself.
-                self._set_rate_and_check(item)
-        else:
-            self._set_rate_and_check(item)
+        # The retime can miss the new item: an equal-demand item finishing
+        # at this instant leaves the domain factor where it was before the
+        # add, so the domain is not re-timed.  When the retime did rate the
+        # item, _apply_rate returns early and this is a no-op.
+        self._set_rate_and_check(item)
         return item
 
     def active_count(self) -> int:

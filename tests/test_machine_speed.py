@@ -142,6 +142,40 @@ class TestMemoryContention:
         assert times[w1.work_id] == pytest.approx(2.0)
         assert times[w2.work_id] == pytest.approx(3.0)
 
+    def test_start_as_equal_demand_item_finishes_is_timed(self, env, tx2):
+        # Near capacity, starting w2 looks like a bandwidth-factor change,
+        # but w1 (equal demand) runs out at the same instant and restores
+        # the factor, so the domain is not re-timed; w2 must still get a
+        # rate and a completion check.
+        speed = SpeedModel(env, tx2)  # dram capacity 4.0
+        start = env.timeout(1.0)  # queued ahead of w1's completion check
+        w1 = speed.begin_work([2], work=1.0, memory_intensity=1.0, demand=3.0)
+        started = []
+
+        def scenario():
+            yield start
+            started.append(
+                speed.begin_work([3], work=1.0, memory_intensity=1.0, demand=3.0)
+            )
+
+        env.process(scenario())
+        env.run()
+        (w2,) = started
+        assert w1.done.value == pytest.approx(1.0)
+        # w2 runs alone once w1 is gone: factor 1, rate 1, one second.
+        assert w2.done.triggered
+        assert w2.done.value == pytest.approx(1.0)
+        assert speed.active_count() == 0
+
+    def test_fig4_fa_copy_p2_seed3_completes(self):
+        # This fig4 cell deadlocked when the rule above was broken.
+        from repro.experiments.common import ExperimentSettings
+        from repro.experiments.fig4_corunner import fig4_spec
+        from repro.sweep.registry import execute_spec
+
+        spec = fig4_spec(ExperimentSettings(scale=0.002, seed=3), "copy", 2, "fa")
+        assert execute_spec(spec)["throughput"] > 0
+
     def test_external_demand_add_remove_roundtrip(self, env, tx2):
         speed = SpeedModel(env, tx2)
         speed.add_external_demand("dram", 2.5)
