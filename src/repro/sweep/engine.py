@@ -507,6 +507,10 @@ class SweepRunner:
         self.liveness_timeout = liveness_timeout
         self._coordinator = None
         self._cluster_workers: List[Any] = []
+        #: Every live local-pool worker, idle or busy.  The first
+        #: supervised round of a run()/run_adaptive() call starts them,
+        #: later rounds reuse them, and the call stops them on its way out.
+        self._pool: List[_Handle] = []
         self._resumed_stale = 0
         self.last_stats: Optional[SweepStats] = None
         self.cost_model = CostModel(
@@ -1308,6 +1312,50 @@ class SweepRunner:
             if previous is not None:
                 install(previous)
 
+    # -- local pool ------------------------------------------------------
+    def _spawn_worker(self) -> _Handle:
+        """Start one pool worker process and add it to the pool."""
+        parent, child = multiprocessing.Pipe()
+        proc = multiprocessing.Process(
+            target=_worker_main, args=(child,), daemon=True
+        )
+        proc.start()
+        child.close()
+        handle = _Handle(
+            proc=proc,
+            conn=parent,
+            ident=self.telemetry.workers.spawn(proc.pid),
+        )
+        self._pool.append(handle)
+        return handle
+
+    def _retire_worker(self, handle: _Handle, terminate: bool) -> None:
+        """Drop ``handle`` from the pool and reap its process."""
+        self._pool.remove(handle)
+        self.telemetry.workers.retire(handle.ident)
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+        if terminate and handle.proc.is_alive():
+            handle.proc.terminate()
+        handle.proc.join(timeout=5.0)
+
+    def _stop_pool(self) -> None:
+        """Stop every pool worker; run()/run_adaptive() end with this.
+
+        Idle workers are told to exit and joined.  A worker still busy —
+        only possible when the sweep raised mid-round — is terminated.
+        """
+        for handle in self._pool:
+            if handle.job is None:
+                try:
+                    handle.conn.send(None)
+                except (OSError, BrokenPipeError):
+                    pass
+        for handle in list(self._pool):
+            self._retire_worker(handle, terminate=handle.job is not None)
+
     def _run_supervised(
         self,
         pending: Sequence[Tuple[str, RunSpec]],
@@ -1325,6 +1373,12 @@ class SweepRunner:
         immediately rather than hanging the sweep.  Crashed and timed-out
         specs are re-dispatched with exponential backoff up to
         ``max_attempts``; past the budget they resolve to error results.
+
+        Workers outlive the round: they stay in ``self._pool`` (with
+        their DAG-template caches and the base specs already shipped to
+        them) until the calling run()/run_adaptive() stops the pool.  A
+        worker that returns a result gets its next assignment before the
+        parent caches, checkpoints and records that result.
         """
         from multiprocessing import connection as mpc
 
@@ -1336,31 +1390,11 @@ class SweepRunner:
         )
         todo = deque(_Job(key, spec) for key, spec in pending)
         backoff: List[_Job] = []
-        idle: List[_Handle] = []
+        idle: List[_Handle] = list(self._pool)
         busy: List[_Handle] = []
         total = len(pending)
         done = 0
-
-        def _spawn() -> _Handle:
-            parent, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=_worker_main, args=(child,), daemon=True
-            )
-            proc.start()
-            child.close()
-            return _Handle(
-                proc=proc, conn=parent, ident=tele.workers.spawn(proc.pid)
-            )
-
-        def _retire(handle: _Handle, terminate: bool) -> None:
-            tele.workers.retire(handle.ident)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            if terminate and handle.proc.is_alive():
-                handle.proc.terminate()
-            handle.proc.join(timeout=5.0)
+        progress_mark = 0  # done // 25 at the last progress line
 
         def _fault(job: _Job, kind: str, etype: str, message: str) -> None:
             """An infrastructure failure: retry with backoff, or give up."""
@@ -1418,16 +1452,26 @@ class SweepRunner:
                     kind="retry",
                 )
 
-        while done < total:
-            now = time.monotonic()
-            ready_jobs = [j for j in backoff if j.not_before <= now]
-            if ready_jobs:
-                backoff[:] = [j for j in backoff if j.not_before > now]
-                todo.extend(ready_jobs)
+        def _hand_out() -> None:
+            """Give each idle worker a job, topping the pool up to ``workers``.
 
-            # Top up the worker pool and hand out assignments.
+            A reused worker that died while idle is replaced first; that
+            is not an attempt, since no job was sent to it.
+            """
             while todo and (idle or len(idle) + len(busy) < workers):
-                handle = idle.pop() if idle else _spawn()
+                if idle:
+                    handle = idle.pop()
+                    if not handle.proc.is_alive():
+                        self._log(
+                            f"pool worker (pid {handle.proc.pid}) died "
+                            f"while idle (exit code {handle.proc.exitcode})"
+                            "; replacing it",
+                            kind="retry",
+                        )
+                        self._retire_worker(handle, terminate=False)
+                        continue
+                else:
+                    handle = self._spawn_worker()
                 job = todo.popleft()
                 handle.job = job
                 handle.deadline = (
@@ -1468,7 +1512,7 @@ class SweepRunner:
                     # (not an attempt — it never started) and drop the
                     # worker; a replacement is spawned next iteration.
                     handle.job = None
-                    _retire(handle, terminate=True)
+                    self._retire_worker(handle, terminate=True)
                     todo.appendleft(job)
                     continue
                 tele.workers.assign(
@@ -1482,6 +1526,14 @@ class SweepRunner:
                 )
                 self._m_runs_started.inc()
                 busy.append(handle)
+
+        while done < total:
+            now = time.monotonic()
+            ready_jobs = [j for j in backoff if j.not_before <= now]
+            if ready_jobs:
+                backoff[:] = [j for j in backoff if j.not_before > now]
+                todo.extend(ready_jobs)
+            _hand_out()
 
             if not busy:
                 if backoff:
@@ -1511,6 +1563,9 @@ class SweepRunner:
                 )
             ready = set(mpc.wait(wait_for, timeout=wait_timeout))
 
+            # Outcomes that arrived on this wake-up, as (job, ok, payload,
+            # wall); they are committed once their workers have new work.
+            arrived: List[Tuple[_Job, bool, Any, float]] = []
             still_busy: List[_Handle] = []
             for handle in busy:
                 job = handle.job
@@ -1529,38 +1584,7 @@ class SweepRunner:
                             handle.job = None
                             tele.registry.merge(snap)
                             tele.workers.finish(handle.ident)
-                            if ok:
-                                self._record_success(
-                                    job, payload, wall, results, walls,
-                                    batch,
-                                )
-                            else:
-                                fallback = self._batch_members.pop(
-                                    job.key, None
-                                )
-                                if fallback is not None:
-                                    # Deterministic batch-harness failure:
-                                    # re-run every member scalar instead.
-                                    self._log(
-                                        f"batch {job.key[:12]} failed "
-                                        f"({payload.get('type')}); falling"
-                                        f" back to {len(fallback)} scalar"
-                                        " runs"
-                                    )
-                                    self._m_batch_fallback.inc()
-                                    for fb_key, _fb_spec in fallback:
-                                        self._batch_reason[fb_key] = (
-                                            "batch-failed"
-                                        )
-                                    todo.extend(
-                                        _Job(k, s) for k, s in fallback
-                                    )
-                                    total += len(fallback)
-                                else:
-                                    self._record_exception(
-                                        job, payload, results, batch,
-                                        wall=wall,
-                                    )
+                            arrived.append((job, ok, payload, wall))
                             done += 1
                             idle.append(handle)
                             resolved = True
@@ -1569,7 +1593,7 @@ class SweepRunner:
                     if not resolved and not handle.proc.is_alive():
                         code = handle.proc.exitcode
                         handle.job = None
-                        _retire(handle, terminate=False)
+                        self._retire_worker(handle, terminate=False)
                         _fault(
                             job,
                             "crash",
@@ -1580,6 +1604,31 @@ class SweepRunner:
                 if not resolved:
                     still_busy.append(handle)
             busy = still_busy
+            _hand_out()
+
+            for job, ok, payload, wall in arrived:
+                if ok:
+                    self._record_success(
+                        job, payload, wall, results, walls, batch
+                    )
+                    continue
+                fallback = self._batch_members.pop(job.key, None)
+                if fallback is None:
+                    self._record_exception(
+                        job, payload, results, batch, wall=wall
+                    )
+                    continue
+                # Deterministic batch-harness failure: re-run every
+                # member scalar instead.
+                self._log(
+                    f"batch {job.key[:12]} failed ({payload.get('type')}); "
+                    f"falling back to {len(fallback)} scalar runs"
+                )
+                self._m_batch_fallback.inc()
+                for fb_key, _fb_spec in fallback:
+                    self._batch_reason[fb_key] = "batch-failed"
+                todo.extend(_Job(k, s) for k, s in fallback)
+                total += len(fallback)
 
             # Enforce per-run deadlines on whoever is still out there.
             now = time.monotonic()
@@ -1588,7 +1637,7 @@ class SweepRunner:
                 if handle.deadline is not None and now >= handle.deadline:
                     job = handle.job
                     handle.job = None
-                    _retire(handle, terminate=True)
+                    self._retire_worker(handle, terminate=True)
                     _fault(
                         job,
                         "timeout",
@@ -1626,17 +1675,9 @@ class SweepRunner:
                     ),
                 )
 
-            if done and done % 25 == 0:
+            if done // 25 > progress_mark:
+                progress_mark = done // 25
                 self._log(f"{done}/{total} resolved")
-
-        for handle in idle:
-            try:
-                handle.conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-            _retire(handle, terminate=False)
-        for handle in busy:  # pragma: no cover - defensive
-            _retire(handle, terminate=True)
 
     def run(self, specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
         """Execute ``specs``; returns one metrics dict per spec, in order.
@@ -1654,7 +1695,10 @@ class SweepRunner:
             unique.setdefault(key, spec)
 
         self._log(f"{len(specs)} runs ({len(unique)} unique)")
-        results, walls, batch = self._execute_unique(unique)
+        try:
+            results, walls, batch = self._execute_unique(unique)
+        finally:
+            self._stop_pool()
 
         stats = SweepStats(
             label=self.label,
@@ -1752,85 +1796,88 @@ class SweepRunner:
         )
         active = list(cells.keys())
         round_no = 0
-        while active:
-            batch_specs: Dict[str, RunSpec] = {}
-            owners: List[Tuple[str, str]] = []  # (cell key, replicate key)
-            for cell_key in active:
-                have = counts[cell_key]
-                target = policy.next_target(have)
-                for rep in range(have, target):
-                    rep_spec = replicate_spec(cells[cell_key], rep)
-                    rep_key = rep_spec.key()
-                    batch_specs[rep_key] = rep_spec
-                    owners.append((cell_key, rep_key))
-                    manifest_specs.append(rep_spec)
-                    manifest_keys.append(rep_key)
-                counts[cell_key] = target
-            round_no += 1
-            m_rounds.inc()
-            self._log(
-                f"round {round_no}: {len(active)} cells unconverged, "
-                f"{len(batch_specs)} replicates"
-            )
-            results, walls, batch = self._execute_unique(
-                batch_specs, allow_batching=True
-            )
-            all_walls.update(walls)
-            all_results.update(results)
-            total_hits += batch.hits
-            total_executed += len(batch_specs) - batch.hits
-            total_unique += len(batch_specs)
-            total_failures += batch.failures
-            total_retries += batch.retries
-            total_timeouts += batch.timeouts
-            total_resumed += batch.resumed
-            total_exhausted += batch.exhausted
-            total_batches += batch.batches
-            total_batched_runs += batch.batched_runs
-            max_workers = max(max_workers, batch.workers)
-            for cell_key, rep_key in owners:
-                rep_results[cell_key].append(results[rep_key])
+        try:
+            while active:
+                batch_specs: Dict[str, RunSpec] = {}
+                owners: List[Tuple[str, str]] = []  # (cell key, replicate key)
+                for cell_key in active:
+                    have = counts[cell_key]
+                    target = policy.next_target(have)
+                    for rep in range(have, target):
+                        rep_spec = replicate_spec(cells[cell_key], rep)
+                        rep_key = rep_spec.key()
+                        batch_specs[rep_key] = rep_spec
+                        owners.append((cell_key, rep_key))
+                        manifest_specs.append(rep_spec)
+                        manifest_keys.append(rep_key)
+                    counts[cell_key] = target
+                round_no += 1
+                m_rounds.inc()
+                self._log(
+                    f"round {round_no}: {len(active)} cells unconverged, "
+                    f"{len(batch_specs)} replicates"
+                )
+                results, walls, batch = self._execute_unique(
+                    batch_specs, allow_batching=True
+                )
+                all_walls.update(walls)
+                all_results.update(results)
+                total_hits += batch.hits
+                total_executed += len(batch_specs) - batch.hits
+                total_unique += len(batch_specs)
+                total_failures += batch.failures
+                total_retries += batch.retries
+                total_timeouts += batch.timeouts
+                total_resumed += batch.resumed
+                total_exhausted += batch.exhausted
+                total_batches += batch.batches
+                total_batched_runs += batch.batched_runs
+                max_workers = max(max_workers, batch.workers)
+                for cell_key, rep_key in owners:
+                    rep_results[cell_key].append(results[rep_key])
 
-            tele = self.telemetry
-            still_active = []
-            round_max_ci = 0.0
-            for cell_key in active:
-                good = [
-                    r
-                    for r in rep_results[cell_key]
-                    if not is_error_result(r)
-                ]
-                accs = None
-                if tele.enabled and good:
-                    accs = scalar_accumulators(good)
-                    rels = [
-                        acc.relative_ci(policy.confidence)
-                        for acc in accs.values()
+                tele = self.telemetry
+                still_active = []
+                round_max_ci = 0.0
+                for cell_key in active:
+                    good = [
+                        r
+                        for r in rep_results[cell_key]
+                        if not is_error_result(r)
                     ]
-                    finite = [
-                        r for r in rels if r == r and r != float("inf")
-                    ]
-                    if finite:
-                        cell_ci = max(finite)
-                        round_max_ci = max(round_max_ci, cell_ci)
-                        m_ci_width.observe(cell_ci)
-                if counts[cell_key] >= policy.max_seeds:
-                    continue
-                if not good:
-                    # Every replicate failed; more seeds won't fix a
-                    # broken cell, so stop growing it.
-                    continue
-                if accs is None:
-                    accs = scalar_accumulators(good)
-                if not converged(accs, policy):
-                    still_active.append(cell_key)
-            active = still_active
-            m_unconverged.set(len(active))
-            if round_max_ci:
-                m_max_ci.set(round_max_ci)
-            # One forced snapshot per round so the report can plot CI
-            # convergence against elapsed time.
-            tele.flush(force=True)
+                    accs = None
+                    if tele.enabled and good:
+                        accs = scalar_accumulators(good)
+                        rels = [
+                            acc.relative_ci(policy.confidence)
+                            for acc in accs.values()
+                        ]
+                        finite = [
+                            r for r in rels if r == r and r != float("inf")
+                        ]
+                        if finite:
+                            cell_ci = max(finite)
+                            round_max_ci = max(round_max_ci, cell_ci)
+                            m_ci_width.observe(cell_ci)
+                    if counts[cell_key] >= policy.max_seeds:
+                        continue
+                    if not good:
+                        # Every replicate failed; more seeds won't fix a
+                        # broken cell, so stop growing it.
+                        continue
+                    if accs is None:
+                        accs = scalar_accumulators(good)
+                    if not converged(accs, policy):
+                        still_active.append(cell_key)
+                active = still_active
+                m_unconverged.set(len(active))
+                if round_max_ci:
+                    m_max_ci.set(round_max_ci)
+                # One forced snapshot per round so the report can plot CI
+                # convergence against elapsed time.
+                tele.flush(force=True)
+        finally:
+            self._stop_pool()
 
         aggregated: Dict[str, Dict[str, Any]] = {}
         for key, reps in rep_results.items():

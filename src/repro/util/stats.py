@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -103,10 +104,14 @@ def _t_cdf(t: float, df: float) -> float:
     return 1.0 - p if t > 0 else p
 
 
+@functools.lru_cache(maxsize=1024)
 def t_critical(confidence: float, df: int) -> float:
     """Two-sided Student-t critical value (e.g. 2.262 at 95%, df=9).
 
-    Solved by bisection on the CDF — no table, no scipy.
+    Solved by bisection on the CDF — no table, no scipy.  Cached per
+    ``(confidence, df)``: an adaptive sweep asks for the same few
+    quantiles at every convergence check, and a bisection costs ~0.4 ms.
+    ``t_critical.__wrapped__`` is the uncached solver.
     """
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")

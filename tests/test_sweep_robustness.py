@@ -10,7 +10,9 @@ checkpoint/resume behavior from the outside.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -20,6 +22,7 @@ from repro.experiments import runner as cli
 from repro.experiments.common import ExperimentSettings
 from repro.sweep import (
     ERROR_KEY,
+    AdaptivePolicy,
     RunSpec,
     SweepRunner,
     is_error_result,
@@ -503,6 +506,153 @@ class TestAdaptiveWithFailures:
         )
         assert is_error_result(rows[0])
         assert rows[1]["value"] == 2.0
+
+
+class TestPoolLifecycle:
+    """One local worker pool per run()/run_adaptive() call.
+
+    The first supervised round starts the workers, later rounds reuse
+    them, and the call stops them on its way out — also when it raises.
+    """
+
+    #: ci=0 stops only cells whose replicates are identical; these vary,
+    #: so every cell grows to max_seeds: round 1 runs 2 replicates per
+    #: cell, rounds 2-4 one more each.
+    POLICY = AdaptivePolicy(ci=0.0, min_seeds=2, max_seeds=5)
+
+    @staticmethod
+    def _cells():
+        return [
+            RunSpec(
+                kind="single",
+                params={
+                    "workload": {
+                        "name": "layered",
+                        "kernel": "copy",
+                        "parallelism": 2,
+                        "total": 16,
+                    },
+                    "machine": "jetson_tx2",
+                    "scheduler": scheduler,
+                },
+                seed=3,
+                metrics=("throughput", "tasks_completed"),
+            )
+            for scheduler in ("rws", "dam-c", "fam-c")
+        ]
+
+    @staticmethod
+    def _count_starts(monkeypatch):
+        started = []
+        original = multiprocessing.Process.start
+
+        def start(self):
+            started.append(self)
+            original(self)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        return started
+
+    def _serial(self, tmp_path):
+        return _runner(tmp_path, jobs=1).run_adaptive(
+            self._cells(), self.POLICY
+        )
+
+    def test_adaptive_sweep_starts_one_pool(self, tmp_path, monkeypatch):
+        serial = self._serial(tmp_path)
+        started = self._count_starts(monkeypatch)
+        pop_stats()
+        rows = _runner(tmp_path, jobs=2).run_adaptive(
+            self._cells(), self.POLICY
+        )
+        (stats,) = pop_stats()
+        assert rows == serial
+        assert stats.executed == 3 * self.POLICY.max_seeds
+        assert len(started) == 2
+        assert not any(proc.is_alive() for proc in started)
+
+    def test_no_worker_outlives_a_failed_sweep(self, tmp_path, monkeypatch):
+        started = self._count_starts(monkeypatch)
+        runner = _runner(tmp_path, jobs=2)
+        original = runner._record_success
+        calls = []
+
+        def record_success(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 10:
+                raise RuntimeError("commit failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_record_success", record_success)
+        # Round 1 has 19 jobs, so the 10th commit leaves work queued and
+        # the worker that sent that result is already busy again.
+        cells = self._cells() + [
+            _spec("chaos_hang", sleep=0.01 * i) for i in range(1, 9)
+        ]
+        with pytest.raises(RuntimeError, match="commit failed"):
+            runner.run_adaptive(cells, self.POLICY)
+        assert len(started) == 2
+        assert not any(proc.is_alive() for proc in started)
+        assert -signal.SIGTERM in [proc.exitcode for proc in started]
+        # The next call starts a fresh pool and completes.
+        assert runner.run_adaptive(self._cells(), self.POLICY) == (
+            self._serial(tmp_path)
+        )
+        assert not any(proc.is_alive() for proc in started)
+
+    def test_worker_killed_while_idle_is_replaced(
+        self, tmp_path, monkeypatch
+    ):
+        serial = self._serial(tmp_path)
+        started = self._count_starts(monkeypatch)
+        runner = _runner(tmp_path, jobs=2, max_attempts=1)
+        original = runner._execute_unique
+        victims = []
+
+        def execute_unique(unique, allow_batching=False):
+            if started and not victims:
+                # Between rounds 1 and 2: both workers sit idle.
+                victim = started[0]
+                assert victim.is_alive()
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5.0)
+                victims.append(victim)
+            return original(unique, allow_batching)
+
+        monkeypatch.setattr(runner, "_execute_unique", execute_unique)
+        pop_stats()
+        rows = runner.run_adaptive(self._cells(), self.POLICY)
+        (stats,) = pop_stats()
+        assert victims and victims[0].exitcode == -signal.SIGKILL
+        assert rows == serial
+        assert stats.exhausted == 0 and stats.failures == 0
+        assert stats.retries == 0
+        assert len(started) == 3  # the two workers, then one replacement
+        assert not any(proc.is_alive() for proc in started)
+
+    def test_progress_line_logged_once_per_multiple(
+        self, tmp_path, capsys
+    ):
+        # A slow run keeps the pool busy after 25 of 26 runs resolved,
+        # and its heartbeats wake the supervisor loop many times.
+        from repro.telemetry import Telemetry
+
+        tele = Telemetry(label="progress", enabled=True,
+                         heartbeat_interval=0.01)
+        runner = _runner(tmp_path, jobs=2, progress=True, telemetry=tele)
+        specs = [_spec("chaos_hang", sleep=0.6)] + [
+            _spec("chaos_count", counter=str(tmp_path / "c"), value=v)
+            for v in range(25)
+        ]
+        runner.run(specs)
+        snap = tele.registry.snapshot()
+        assert snap["sweep_heartbeats_total"]["value"] >= 5
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.endswith("/26 resolved")
+        ]
+        # One multiple of 25 was crossed, so exactly one line.
+        assert len(lines) == 1, lines
 
 
 class TestValidation:

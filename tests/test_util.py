@@ -7,7 +7,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.util.rng import RngFactory, make_rng, spawn_rngs
-from repro.util.stats import geometric_mean, summarize, weighted_average
+from repro.util.stats import (
+    geometric_mean,
+    summarize,
+    t_critical,
+    weighted_average,
+)
 from repro.util.tables import format_table
 from repro.util.validation import require, require_in_range, require_positive
 
@@ -91,6 +96,29 @@ class TestStats:
     def test_summarize_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+class TestTCritical:
+    """``t_critical`` is cached per ``(confidence, df)``."""
+
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_cached_equals_uncached_bisection(self, confidence):
+        for df in range(1, 13):
+            expected = t_critical.__wrapped__(confidence, df)
+            assert t_critical(confidence, df) == expected
+            assert t_critical(confidence, df) == expected
+
+    def test_repeated_calls_return_the_same_float(self):
+        first = t_critical(0.95, 7)
+        assert t_critical(0.95, 7) is first
+
+    @pytest.mark.parametrize(
+        "confidence, df", [(0.0, 5), (1.0, 5), (-0.5, 5), (0.95, 0)]
+    )
+    def test_bad_arguments_raise(self, confidence, df):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                t_critical(confidence, df)
 
 
 class TestTables:
