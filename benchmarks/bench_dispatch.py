@@ -9,47 +9,25 @@ Each path's metrics are asserted **bit-identical** to the serial run
 before its timing is reported: dispatch is transport and scheduling
 only, it must never change a result.
 
-``--adaptive`` adds an adaptive sweep (``run_adaptive`` with the
-default policy: ci 0.02, seeds 3-12) of the same tiny cells, run serially
-and on the 2-worker pool, each against an empty result cache.  Its
-aggregated results must compare equal before any timing; it then
-reports wall time, process-tree CPU time, rounds and the number of pool
-worker processes started.  With ``--against SRC`` that measurement runs
-as ``--pairs`` alternating pairs of fresh processes, this checkout's
-``src/`` against ``SRC`` (for instance a checkout of the parent commit).
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_dispatch.py \
-        --cells 40 --adaptive --against ../parent/src \
-        --out BENCH_dispatch.json
+        --cells 40 --out BENCH_dispatch.json
 
-``--modes pool,tcp`` restricts the paths (``--modes ""`` runs none; CI
-smoke uses a tiny ``--cells`` and all three).  The JSON lands at
-``--out`` and is uploaded as the ``dispatch-bench-smoke`` workflow
-artifact; the committed ``BENCH_dispatch.json`` is the evidence
-snapshot.
+``--modes pool,tcp`` restricts the paths (CI smoke uses a tiny
+``--cells`` and all three).  The JSON lands at ``--out`` and is uploaded
+as the ``dispatch-bench-smoke`` workflow artifact; the committed
+``BENCH_dispatch.json`` is the evidence snapshot.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import hashlib
 import json
-import multiprocessing
-import os
-import resource
-import statistics
-import subprocess
 import sys
-import tempfile
 import time
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.policies.registry import SCHEDULER_NAMES
-from repro.sweep import ADAPTIVE_KEY, AdaptivePolicy
 from repro.sweep.engine import SweepRunner
 from repro.sweep.spec import RunSpec
 
@@ -57,7 +35,7 @@ from repro.sweep.spec import RunSpec
 JOBS = 2
 
 
-def tiny_spec(seed: int, total: int, scheduler: str = "rws") -> RunSpec:
+def tiny_spec(seed: int, total: int) -> RunSpec:
     """One tiny cell: a short copy-kernel layered DAG, seed-varied.
 
     Replicates of one cell differ only in ``seed``, so every cell after
@@ -73,25 +51,11 @@ def tiny_spec(seed: int, total: int, scheduler: str = "rws") -> RunSpec:
                 "total": total,
             },
             "machine": "jetson_tx2",
-            "scheduler": scheduler,
+            "scheduler": "rws",
         },
         seed=seed,
         metrics=("throughput", "tasks_completed"),
     )
-
-
-def adaptive_cells(cells: int, total: int) -> List[RunSpec]:
-    """Distinct tiny cells for ``run_adaptive``: every scheduler, then
-    larger DAGs.
-
-    Cells that differ only in seed would share one batch per round,
-    which runs inline and never reaches the pool.
-    """
-    names = SCHEDULER_NAMES
-    return [
-        tiny_spec(i, total + 4 * (i // len(names)), names[i % len(names)])
-        for i in range(cells)
-    ]
 
 
 def _make_runner(mode: str, label: str) -> Tuple[SweepRunner, List[Any]]:
@@ -162,151 +126,6 @@ def bench_mode(
     }
 
 
-def _cpu_seconds() -> float:
-    """User + system CPU of this process and its reaped children."""
-    total = 0.0
-    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
-        usage = resource.getrusage(who)
-        total += usage.ru_utime + usage.ru_stime
-    return total
-
-
-@contextlib.contextmanager
-def _count_process_starts() -> Iterator[List[multiprocessing.Process]]:
-    """Collect every ``multiprocessing.Process`` started in the block."""
-    started: List[multiprocessing.Process] = []
-    original = multiprocessing.Process.start
-
-    def start(self):
-        started.append(self)
-        original(self)
-
-    multiprocessing.Process.start = start
-    try:
-        yield started
-    finally:
-        multiprocessing.Process.start = original
-
-
-def _timed_adaptive(
-    jobs: int, specs: List[RunSpec], policy: AdaptivePolicy, label: str
-) -> Tuple[List[Dict[str, Any]], Dict[str, float]]:
-    """One adaptive sweep against an empty cache: rows, wall and CPU."""
-    with tempfile.TemporaryDirectory() as cache_dir:
-        runner = SweepRunner(
-            jobs=jobs, cache_dir=cache_dir, progress=False, label=label
-        )
-        cpu = _cpu_seconds()
-        start = time.perf_counter()
-        rows = runner.run_adaptive(specs, policy)
-        wall = time.perf_counter() - start
-        cpu = _cpu_seconds() - cpu
-    return rows, {"wall_s": wall, "cpu_s": cpu}
-
-
-def bench_adaptive(cells: int, total: int) -> Dict[str, Any]:
-    """Adaptive sweep of tiny cells, serial vs the pool, identity first."""
-    specs = adaptive_cells(cells, total)
-    policy = AdaptivePolicy()
-    serial, serial_t = _timed_adaptive(1, specs, policy, "adaptive-serial")
-    with _count_process_starts() as started:
-        pool, pool_t = _timed_adaptive(JOBS, specs, policy, "adaptive-pool")
-    if pool != serial:
-        raise SystemExit(
-            "FAIL: adaptive: pool results differ from the serial run"
-        )
-    replicates = [row[ADAPTIVE_KEY]["replicates"] for row in serial]
-    rounds = 1 + max(
-        -(-(n - policy.min_seeds) // policy.growth) for n in replicates
-    )
-    digest = hashlib.sha256(
-        json.dumps(serial, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return {
-        "cells": cells,
-        "tasks_per_cell": total,
-        "workers": JOBS,
-        "policy": {
-            "ci": policy.ci,
-            "min_seeds": policy.min_seeds,
-            "max_seeds": policy.max_seeds,
-        },
-        "rounds": rounds,
-        "replicates": sum(replicates),
-        "bit_identical": True,
-        "results_sha256": digest,
-        "serial": serial_t,
-        "pool": dict(pool_t, workers_started=len(started)),
-    }
-
-
-def _quartiles(values: List[float]) -> Dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return {"q1": q1, "median": median, "q3": q3}
-
-
-def paired_adaptive(
-    cells: int, total: int, against: str, pairs: int
-) -> Dict[str, Any]:
-    """``bench_adaptive`` in fresh processes: this ``src/`` vs ``against``.
-
-    Each pair runs both sides back to back, alternating which goes
-    first.  Every run must produce the same aggregated results.
-    """
-    sources = {
-        "change": str(Path(__file__).resolve().parents[1] / "src"),
-        "parent": str(Path(against).resolve()),
-    }
-    runs: List[Dict[str, Any]] = []
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "run.json")
-        for pair in range(pairs):
-            order = ("parent", "change") if pair % 2 == 0 else (
-                "change", "parent"
-            )
-            for side in order:
-                env = dict(os.environ, PYTHONPATH=sources[side])
-                subprocess.run(
-                    [sys.executable, __file__, "--modes", "", "--adaptive",
-                     "--cells", str(cells), "--total", str(total),
-                     "--out", out],
-                    check=True, env=env, stdout=subprocess.DEVNULL,
-                )
-                with open(out, encoding="utf-8") as fh:
-                    run = json.load(fh)["adaptive"]
-                runs.append(dict(run, pair=pair, side=side))
-    if len({run["results_sha256"] for run in runs}) != 1:
-        raise SystemExit("FAIL: adaptive: results differ between sides")
-
-    def pool_metric(side: str, name: str) -> List[float]:
-        return [r["pool"][name] for r in runs if r["side"] == side]
-
-    summary: Dict[str, Any] = {}
-    for name in ("wall_s", "cpu_s"):
-        parent = pool_metric("parent", name)
-        change = pool_metric("change", name)
-        summary[name] = {
-            "parent": _quartiles(parent),
-            "change": _quartiles(change),
-            "ratio": statistics.median(change) / statistics.median(parent),
-            "change_lower_in": sum(c < p for c, p in zip(change, parent)),
-        }
-    out = {
-        key: runs[0][key]
-        for key in ("cells", "tasks_per_cell", "workers", "policy", "rounds",
-                    "replicates", "bit_identical", "results_sha256")
-    }
-    out["pairs"] = pairs
-    out["workers_started"] = {
-        side: sorted({r["pool"]["workers_started"] for r in runs
-                      if r["side"] == side})
-        for side in ("parent", "change")
-    }
-    out["pool"] = summary
-    out["runs"] = runs
-    return out
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cells", type=int, default=40,
@@ -314,23 +133,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--total", type=int, default=16,
                         help="tasks per tiny cell's DAG (default 16)")
     parser.add_argument("--modes", default="pool,inproc,tcp",
-                        help="comma-separated dispatch paths to measure "
-                        "(empty: none)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="also time an adaptive sweep of the cells, "
-                        "serial vs the pool")
-    parser.add_argument("--against", default=None, metavar="SRC",
-                        help="with --adaptive: pair it against this src/ "
-                        "directory in fresh processes")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="alternating pairs for --against (default 10)")
+                        help="comma-separated dispatch paths to measure")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the comparison JSON here")
     args = parser.parse_args(argv)
-    if args.against is not None and not args.adaptive:
-        parser.error("--against needs --adaptive")
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2")
 
     specs = [tiny_spec(seed, args.total) for seed in range((args.cells))]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
@@ -363,33 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bit_identical": all(r["bit_identical"] for r in results),
         "modes": results,
     }
-    if args.adaptive:
-        if args.against is None:
-            adaptive = bench_adaptive(args.cells, args.total)
-            pool = adaptive["pool"]
-            print(
-                f"adaptive {adaptive['replicates']} replicates in "
-                f"{adaptive['rounds']} rounds: serial "
-                f"{adaptive['serial']['wall_s']:.2f}s, pool "
-                f"{pool['wall_s']:.2f}s wall / {pool['cpu_s']:.2f}s CPU on "
-                f"{pool['workers_started']} worker processes, bit-identical"
-            )
-        else:
-            adaptive = paired_adaptive(
-                args.cells, args.total, args.against, args.pairs
-            )
-            for name, row in adaptive["pool"].items():
-                print(
-                    f"adaptive pool {name}: change "
-                    f"{row['change']['median']:.3f} vs parent "
-                    f"{row['parent']['median']:.3f} "
-                    f"({row['ratio']:.2f}x, lower in "
-                    f"{row['change_lower_in']}/{args.pairs} pairs)"
-                )
-        out["adaptive"] = adaptive
-        out["bit_identical"] = out["bit_identical"] and adaptive[
-            "bit_identical"
-        ]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(out, fh, indent=2)

@@ -1453,25 +1453,9 @@ class SweepRunner:
                 )
 
         def _hand_out() -> None:
-            """Give each idle worker a job, topping the pool up to ``workers``.
-
-            A reused worker that died while idle is replaced first; that
-            is not an attempt, since no job was sent to it.
-            """
+            """Give idle workers jobs, topping the pool up to ``workers``."""
             while todo and (idle or len(idle) + len(busy) < workers):
-                if idle:
-                    handle = idle.pop()
-                    if not handle.proc.is_alive():
-                        self._log(
-                            f"pool worker (pid {handle.proc.pid}) died "
-                            f"while idle (exit code {handle.proc.exitcode})"
-                            "; replacing it",
-                            kind="retry",
-                        )
-                        self._retire_worker(handle, terminate=False)
-                        continue
-                else:
-                    handle = self._spawn_worker()
+                handle = idle.pop() if idle else self._spawn_worker()
                 job = todo.popleft()
                 handle.job = job
                 handle.deadline = (
@@ -1508,9 +1492,10 @@ class SweepRunner:
                     except (OSError, BrokenPipeError):
                         sent = False
                 if not sent:
-                    # The worker died between assignments: recycle the job
-                    # (not an attempt — it never started) and drop the
-                    # worker; a replacement is spawned next iteration.
+                    # The worker died between assignments, possibly while
+                    # idle between rounds: recycle the job (not an attempt
+                    # — it never started) and drop the worker; the loop
+                    # spawns a replacement.
                     handle.job = None
                     self._retire_worker(handle, terminate=True)
                     todo.appendleft(job)
