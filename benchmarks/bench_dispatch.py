@@ -38,8 +38,8 @@ JOBS = 2
 def tiny_spec(seed: int, total: int) -> RunSpec:
     """One tiny cell: a short copy-kernel layered DAG, seed-varied.
 
-    Replicates of one cell differ only in ``seed``, so every cell after
-    the first delta-encodes to a few dozen bytes.
+    Replicates of one cell differ only in ``seed``, so the run is short
+    and per-cell dispatch overhead dominates its wall clock.
     """
     return RunSpec(
         kind="single",

@@ -275,39 +275,3 @@ def test_sweep_batched_adaptive(benchmark):
     assert len(rows) == 2
     assert all(row["adaptive"]["replicates"] == 3 for row in rows)
     assert stats.batches == 2 and stats.batched_runs == 6
-
-
-def test_spec_delta_codec(benchmark):
-    """Dispatch fast lane: delta encode + decode of one replicate.
-
-    One seed-varied replicate of an interned base spec, through the
-    sender (:class:`~repro.sweep.wire.SpecInterner`) and the receiver
-    (:class:`~repro.sweep.wire.SpecDecoder`) — the per-cell codec cost
-    every fast-lane lease and pool assignment pays.  Gated: a regression
-    here is a regression of every dispatched cell.
-    """
-    from repro.sweep import wire
-    from repro.sweep.spec import RunSpec
-
-    params = {
-        "workload": {
-            "name": "layered", "kernel": "matmul",
-            "parallelism": 4, "total": 600,
-        },
-        "machine": "jetson_tx2",
-        "scheduler": "dam-c",
-        "scenario": {"name": "tx2_corunner", "kernel": "matmul"},
-    }
-    base = RunSpec(kind="single", params=params, seed=0)
-    replicate = RunSpec(kind="single", params=params, seed=1)
-    interner = wire.SpecInterner()
-    interner.encode(base)  # interns the group base
-    decoder = wire.SpecDecoder()
-    decoder.add_base(wire.wire_id(base), wire.spec_to_wire(base))
-
-    def roundtrip():
-        enc = interner.encode(replicate)
-        return decoder.decode({"base": enc.base_id, "delta": enc.delta})
-
-    rebuilt = benchmark(roundtrip)
-    assert rebuilt.key() == replicate.key()

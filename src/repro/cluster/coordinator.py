@@ -33,15 +33,11 @@ Stragglers keep PR 7's contract: a slow-but-heartbeating run is flagged
 lease deadline (the distributed analog of the per-run timeout) or
 worker death takes work away.  See ``docs/cluster.md``.
 
-The **dispatch fast lane** layers three throughput optimisations over
+The **dispatch fast lane** layers two throughput optimisations over
 that machinery without touching any of its invariants:
 
 * leases are granted in **batches** (up to ``prefetch`` per frame, as
   ``lease_batch``) so a worker's backlog refills in one round-trip;
-* specs are **delta-encoded** against interned base specs
-  (:mod:`repro.sweep.wire`): the base ships once per connection, each
-  cell as a compact diff, with a full-spec fallback whenever the diff
-  would not be smaller;
 * placement is **spec-aware**: per-worker throughput EWMAs — the cost
   model's wall-time predictions scored against observed walls, with a
   completion-rate fallback — rank workers fastest-first, and since the
@@ -61,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster import comm, protocol
 from repro.errors import ConfigurationError
-from repro.sweep import wire
 from repro.sweep.spec import RunSpec
 from repro.telemetry import Telemetry
 from repro.telemetry.heartbeat import straggler_after
@@ -141,6 +136,9 @@ class _Lease:
     granted: float
     started_at: Optional[float] = None
     deadline: Optional[float] = None
+    #: Seconds after ``started_at`` past which the run is flagged a
+    #: straggler (``None``: no yardstick); fixed when the lease starts.
+    straggle_after: Optional[float] = None
     straggler: bool = False
     #: A steal revocation is in flight; the lease is requeued only when
     #: the worker confirms it never started the run (MSG_REVOKED).
@@ -163,9 +161,6 @@ class _Remote:
     last_seen: float = 0.0
     leases: Dict[str, _Lease] = field(default_factory=dict)
     results_done: int = 0
-    #: Base-spec ids already shipped over *this* connection (a
-    #: reconnect makes a fresh ``_Remote``, so bases re-ship).
-    bases_sent: Set[str] = field(default_factory=set)
     #: Throughput factor EWMA: cost-model expectation / observed wall
     #: (>1 = faster than the model; placement ranks by it).
     speed: float = 1.0
@@ -267,8 +262,6 @@ class ClusterCoordinator:
         self._log = log or (lambda message, kind="info": None)
         self._lease_ids = itertools.count(1)
         self._workers: Dict[str, _Remote] = {}
-        #: Sender-side base-spec table for delta encoding.
-        self._interner = wire.SpecInterner()
         #: Cell key -> count of leases currently granted for it,
         #: maintained incrementally so `_next_ready` never rebuilds it.
         self._inflight: Dict[str, int] = {}
@@ -344,20 +337,7 @@ class ClusterCoordinator:
         )
         self._m_frames = reg.counter(
             "dispatch_frames_total",
-            "Messages sent on the dispatch path (lease, lease_batch and "
-            "spec_base frames; pool assignments on the local path)",
-        )
-        self._m_spec_bytes = reg.counter(
-            "dispatch_spec_bytes_total",
-            "Encoded spec payload bytes actually shipped",
-        )
-        self._m_bytes_saved = reg.counter(
-            "dispatch_bytes_saved_total",
-            "Spec payload bytes avoided by delta encoding",
-        )
-        self._m_deltas = reg.counter(
-            "dispatch_deltas_total",
-            "Specs shipped as deltas against an interned base",
+            "Grant frames sent to cluster workers (lease and lease_batch)",
         )
         self._m_roundtrips_saved = reg.counter(
             "dispatch_roundtrips_saved_total",
@@ -600,11 +580,6 @@ class ClusterCoordinator:
                 self._lease_removed(worker, found)
                 if message.get("ok") and wall > 0:
                     self._observe_speed(worker, found, wall)
-        if str(message.get("kind") or "") == "decode" and worker is not None:
-            # The worker could not decode the spec (e.g. a base that
-            # never arrived on a torn connection): re-ship every base on
-            # the retry rather than trusting the send-side bookkeeping.
-            worker.bases_sent.clear()
         self._update_held()
         if cell_key not in self._unresolved:
             # Late duplicate of an already-committed cell (the reclaim
@@ -756,10 +731,17 @@ class ClusterCoordinator:
                 # The worker won any in-flight steal race: a started
                 # lease is never handed back.
                 lease.revoking = False
+                width = max(lease.cell.width, 1)
                 if self.lease_timeout is not None:
-                    lease.deadline = (
-                        now + self.lease_timeout * max(lease.cell.width, 1)
-                    )
+                    lease.deadline = now + self.lease_timeout * width
+                expected = (
+                    self.cost_model.predict(lease.cell.spec)
+                    if self.cost_model is not None
+                    else None
+                )
+                limit = straggler_after(expected, self.lease_timeout)
+                if limit is not None:
+                    lease.straggle_after = limit * width
         elif mtype == protocol.MSG_RESULT:
             self._handle_result(worker, message)
         elif mtype == protocol.MSG_REVOKED:
@@ -911,18 +893,10 @@ class ClusterCoordinator:
             if worker is None:
                 continue
             for lease in worker.leases.values():
-                if not lease.started or lease.straggler:
+                if lease.straggle_after is None or lease.straggler:
                     continue
-                expected = (
-                    self.cost_model.predict(lease.cell.spec)
-                    if self.cost_model is not None
-                    else None
-                )
-                limit = straggler_after(expected, self.lease_timeout)
-                if limit is None:
-                    continue
-                elapsed = now - (lease.started_at or now)
-                if elapsed > limit * max(lease.cell.width, 1):
+                elapsed = now - lease.started_at
+                if elapsed > lease.straggle_after:
                     lease.straggler = True
                     self._m_stragglers.inc()
                     self._log(
@@ -971,11 +945,10 @@ class ClusterCoordinator:
     def _send_grants(
         self, worker: _Remote, cells: List[_Cell], now: float
     ) -> int:
-        """Ship one grant frame (plus any base frames) carrying
-        ``cells`` to ``worker``; returns how many leases stuck.  On a
-        send failure every cell goes back to the queue head and the
-        answer is 0 — the liveness check reaps the dead connection."""
-        frames: List[Dict[str, Any]] = []
+        """Ship one grant frame carrying ``cells`` to ``worker``;
+        returns how many leases stuck.  On a send failure every cell
+        goes back to the queue head and the answer is 0 — the liveness
+        check reaps the dead connection."""
         bodies: List[Dict[str, Any]] = []
         leases: List[_Lease] = []
         informed = worker.speed_samples > 0
@@ -986,51 +959,30 @@ class ClusterCoordinator:
                 worker=worker.name,
                 granted=now,
             )
-            body: Dict[str, Any] = {
-                "lease": lease.lease_id,
-                "key": cell.key,
-                "width": cell.width,
-                "timeout": self.run_timeout,
-            }
-            enc = self._interner.encode(cell.spec)
-            if enc.delta is not None:
-                if enc.base_id not in worker.bases_sent:
-                    base = self._interner.bases[enc.base_id]
-                    frames.append(
-                        {
-                            "type": protocol.MSG_SPEC_BASE,
-                            "base": enc.base_id,
-                            "spec": wire.spec_to_wire(base),
-                        }
-                    )
-                    worker.bases_sent.add(enc.base_id)
-                body["base"] = enc.base_id
-                body["delta"] = enc.delta
-                self._m_deltas.inc()
-            else:
-                body["spec"] = enc.full
-            self._m_spec_bytes.inc(enc.wire_bytes)
-            self._m_bytes_saved.inc(enc.saved_bytes)
-            bodies.append(body)
+            bodies.append(
+                {
+                    "lease": lease.lease_id,
+                    "key": cell.key,
+                    "width": cell.width,
+                    "timeout": self.run_timeout,
+                    "spec": protocol.spec_to_wire(cell.spec),
+                }
+            )
             leases.append(lease)
         if len(bodies) == 1:
-            frames.append({"type": protocol.MSG_LEASE, **bodies[0]})
+            frame = {"type": protocol.MSG_LEASE, **bodies[0]}
         else:
-            frames.append(
-                {"type": protocol.MSG_LEASE_BATCH, "leases": bodies}
-            )
+            frame = {"type": protocol.MSG_LEASE_BATCH, "leases": bodies}
             self._m_roundtrips_saved.inc(len(bodies) - 1)
         try:
-            for frame in frames:
-                worker.conn.send(frame)
-                self._m_frames.inc()
+            worker.conn.send(frame)
         except comm.ClusterError:
-            # Nothing was leased: the worker-side effect of any frame
-            # that did land is recovered by the decode-failure retry
-            # path (bases re-ship) or duplicate-lease suppression.
+            # Nothing was leased; a frame that did land anyway is
+            # resolved by duplicate-lease suppression.
             for cell in reversed(cells):
                 self._queue.appendleft(cell)
             return 0
+        self._m_frames.inc()
         for lease in leases:
             self._lease_added(worker, lease)
             self._m_granted.inc()

@@ -15,34 +15,34 @@ Worker → coordinator
 Coordinator → worker
     ``welcome``    registration accepted: sweep config (timeout,
                    heartbeat interval, telemetry on/off).
-    ``spec_base``  interned base spec: content id + full spec data.
-                   Sent once per connection before the first lease that
-                   delta-encodes against it (see
-                   :mod:`repro.sweep.wire`).
     ``lease``      one cell to execute: lease id, cache key, replicate
-                   width, per-run timeout, and the spec — either whole
-                   (``"spec"``) or as ``"base"`` + ``"delta"``.
-    ``lease_batch``  several leases in one frame (the dispatch fast
-                   lane's batched grant); each entry is one ``lease``
-                   body.
+                   width, per-run timeout, and the spec's wire form
+                   (``"spec"``, see :func:`spec_to_wire`).
+    ``lease_batch``  several leases in one frame (batched grant); each
+                   entry is one ``lease`` body.
     ``revoke``     return an *unstarted* lease (work stealing).
     ``shutdown``   sweep over; the worker loop exits.
 
 Specs cross the wire as their constructor data — a spec is already
 plain data (that is the whole point of :class:`~repro.sweep.spec.RunSpec`),
-so serialization is lossless and the remote ``spec.key()`` necessarily
-equals the coordinator's.  Delta-encoded specs keep that property: the
-receiver rebuilds the full constructor data before hashing anything,
-and base registration is content-checked (see ``docs/cluster.md``).
+so serialization is lossless.  The worker rebuilds each lease's spec and
+runs it only if ``spec.key()`` equals the lease's ``key``: a payload
+that does not rebuild, or rebuilds another cell (say, under a different
+package version, which changes every key), is answered with a
+``kind="decode"`` result before anything executes.
 """
 
 from __future__ import annotations
+
+from typing import Any, Dict, Mapping
+
+from repro.errors import ReproError
+from repro.sweep.spec import RunSpec
 
 MSG_REGISTER = "register"
 MSG_WELCOME = "welcome"
 MSG_LEASE = "lease"
 MSG_LEASE_BATCH = "lease_batch"
-MSG_SPEC_BASE = "spec_base"
 MSG_REVOKE = "revoke"
 MSG_REVOKED = "revoked"
 MSG_STARTED = "started"
@@ -50,6 +50,59 @@ MSG_RESULT = "result"
 MSG_HEARTBEAT = "heartbeat"
 MSG_SHUTDOWN = "shutdown"
 MSG_GOODBYE = "goodbye"
+
+
+class SpecWireError(ReproError):
+    """A lease's spec payload does not rebuild the cell it is keyed as.
+
+    Raised eagerly, before the run starts: the worker reports it as a
+    retryable ``kind="decode"`` result, never executes a malformed or
+    mismatched spec.
+    """
+
+
+def spec_to_wire(spec: RunSpec) -> Dict[str, Any]:
+    """The wire form of a spec (plain JSON data)."""
+    return {
+        "kind": spec.kind,
+        "params": dict(spec.params),
+        "seed": spec.seed,
+        "metrics": list(spec.metrics),
+        "tags": dict(spec.tags),
+    }
+
+
+def spec_from_wire(data: Any) -> RunSpec:
+    """Rebuild a spec from its wire form; :class:`SpecWireError` if the
+    payload is not one."""
+    if not isinstance(data, Mapping):
+        raise SpecWireError(
+            f"spec wire data must be a mapping, got {type(data).__name__}"
+        )
+    kind = data.get("kind")
+    params = data.get("params")
+    seed = data.get("seed")
+    metrics = data.get("metrics")
+    tags = data.get("tags", {})
+    if not isinstance(kind, str):
+        raise SpecWireError(f"spec kind must be a string, got {kind!r}")
+    if not isinstance(params, Mapping) or not isinstance(tags, Mapping):
+        raise SpecWireError("spec params and tags must be mappings")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SpecWireError(f"spec seed must be an int, got {seed!r}")
+    if not isinstance(metrics, (list, tuple)) or not all(
+        isinstance(m, str) for m in metrics
+    ):
+        raise SpecWireError(
+            f"spec metrics must be a list of strings, got {metrics!r}"
+        )
+    try:
+        return RunSpec(
+            kind=kind, params=params, seed=seed, metrics=tuple(metrics),
+            tags=tags,
+        )
+    except ReproError as exc:
+        raise SpecWireError(f"spec wire data rebuilds no spec: {exc}") from exc
 
 
 __all__ = [
@@ -62,7 +115,9 @@ __all__ = [
     "MSG_REVOKE",
     "MSG_REVOKED",
     "MSG_SHUTDOWN",
-    "MSG_SPEC_BASE",
     "MSG_STARTED",
     "MSG_WELCOME",
+    "SpecWireError",
+    "spec_from_wire",
+    "spec_to_wire",
 ]

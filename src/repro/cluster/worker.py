@@ -40,7 +40,6 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from repro.cluster import comm, protocol
-from repro.sweep import wire
 
 #: Serializes per-run telemetry-registry installs across executor
 #: threads (the registry hook is process-global).
@@ -106,8 +105,6 @@ class ClusterWorker:
         #: Wakes executor threads the moment a lease lands; shares
         #: ``_lock`` so intake and revoke stay serialized.
         self._lease_cv = threading.Condition(self._lock)
-        #: Receiver-side base-spec table for delta-encoded leases.
-        self._decoder = wire.SpecDecoder()
         self._leases: deque = deque()  # granted, not yet picked up
         self._active: Dict[str, _ActiveRun] = {}
         self._outbox: deque = deque()  # messages awaiting a live conn
@@ -181,16 +178,6 @@ class ClusterWorker:
         mtype = message.get("type")
         if mtype == protocol.MSG_WELCOME:
             self.telemetry_on = bool(message.get("telemetry"))
-        elif mtype == protocol.MSG_SPEC_BASE:
-            try:
-                self._decoder.add_base(
-                    message.get("base"), message.get("spec")
-                )
-            except wire.SpecDeltaError:
-                # A corrupt base registration is unreportable here (no
-                # lease to answer on); any lease referencing it fails
-                # decode, which the coordinator retries with a re-ship.
-                pass
         elif mtype == protocol.MSG_LEASE:
             with self._lock:
                 self._leases.append(message)
@@ -362,11 +349,15 @@ class ClusterWorker:
                 lease_id = lease["lease"]
                 key = lease["key"]
                 try:
-                    spec = self._decoder.decode(lease)
-                except wire.SpecDeltaError as exc:
+                    spec = protocol.spec_from_wire(lease.get("spec"))
+                    if spec.key() != key:
+                        raise protocol.SpecWireError(
+                            f"lease spec rebuilds key {spec.key()[:12]}, "
+                            f"not its lease key {str(key)[:12]}"
+                        )
+                except protocol.SpecWireError as exc:
                     # No MSG_STARTED: the run never began.  A "decode"
-                    # kind routes through the coordinator's retry path,
-                    # which re-ships every base before the re-grant.
+                    # kind routes through the coordinator's retry path.
                     self._post(
                         {
                             "type": protocol.MSG_RESULT,

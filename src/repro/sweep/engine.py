@@ -47,9 +47,9 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.profile.phases import phase_scope
@@ -62,14 +62,9 @@ from repro.sweep.adaptive import (
     replicate_spec,
     scalar_accumulators,
 )
-from repro.sweep import wire
 from repro.sweep.cost import COST_MODEL_FILE, CostModel
 from repro.sweep.registry import execute_spec
-from repro.sweep.spec import RunSpec
-
-#: Pipe-message tag registering a base spec with a pool worker (the
-#: local-path analog of the cluster's ``spec_base`` frame).
-_BASE_TAG = "__spec_base__"
+from repro.sweep.spec import RunSpec, identity_key
 
 #: Default cache location; overridable per-runner or via the environment.
 DEFAULT_CACHE_DIR = "~/.cache/repro-sweeps"
@@ -256,12 +251,6 @@ def _worker_main(conn) -> None:
 
     An assignment is ``(key, spec, telem)``; ``telem`` is ``None`` when
     telemetry is off, else a small config mapping (heartbeat interval).
-    ``spec`` is either a :class:`RunSpec` or, on the dispatch fast lane,
-    a ``(base_id, delta)`` pair against a base previously registered by
-    a ``(_BASE_TAG, base_id, wire_data)`` message.  A delta that cannot
-    decode (a base this process never saw) kills the worker, which the
-    supervisor observes as a crash: the retry goes to a fresh process
-    whose bases all re-ship.
     Replies ``(key, ok, payload, wall, snap)`` where ``payload`` is the
     metrics dict on success or ``{"type", "message"}`` when the run
     raised, and ``snap`` is the worker-side metrics-registry snapshot
@@ -278,7 +267,6 @@ def _worker_main(conn) -> None:
         with send_lock:
             conn.send(message)
 
-    bases: Dict[str, RunSpec] = {}
     while True:
         try:
             item = conn.recv()
@@ -286,14 +274,7 @@ def _worker_main(conn) -> None:
             return
         if item is None:
             return
-        if item[0] == _BASE_TAG:
-            _tag, base_id, data = item
-            bases[base_id] = wire.spec_from_wire(data)
-            continue
         key, spec, telem = item
-        if isinstance(spec, tuple):
-            base_id, delta = spec
-            spec = wire.apply_delta(bases[base_id], delta)
         start = time.perf_counter()
         snap = None
         try:
@@ -361,9 +342,6 @@ class _Handle:
     deadline: Optional[float] = None
     #: This worker's row in the telemetry WorkerTable.
     ident: int = -1
-    #: Base-spec ids already shipped down *this* process's pipe (a
-    #: respawn makes a fresh handle, so bases re-ship).
-    bases_sent: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -592,28 +570,6 @@ class SweepRunner:
             "sweep_batch_fallback_total",
             "Batches whose harness failed and whose members re-ran scalar",
         )
-        #: Dispatch fast lane (see docs/performance.md): delta-encode
-        #: pool assignments against interned base specs.  Same counter
-        #: names as the cluster coordinator — get-or-create, so a shared
-        #: hub aggregates both paths.
-        self._interner = wire.SpecInterner()
-        self._m_dispatch_frames = reg.counter(
-            "dispatch_frames_total",
-            "Messages sent on the dispatch path (lease, lease_batch and "
-            "spec_base frames; pool assignments on the local path)",
-        )
-        self._m_dispatch_bytes = reg.counter(
-            "dispatch_spec_bytes_total",
-            "Encoded spec payload bytes actually shipped",
-        )
-        self._m_dispatch_saved = reg.counter(
-            "dispatch_bytes_saved_total",
-            "Spec payload bytes avoided by delta encoding",
-        )
-        self._m_dispatch_deltas = reg.counter(
-            "dispatch_deltas_total",
-            "Specs shipped as deltas against an interned base",
-        )
         self._checkpoint_entries: Optional[Dict[str, Dict[str, Any]]] = None
         self._attempts: Dict[str, int] = {}
         self._sources: Dict[str, str] = {}
@@ -682,8 +638,6 @@ class SweepRunner:
         ``SweepStats.resumed_stale``) so the cell recomputes instead of
         silently reusing a result the current code would not produce.
         """
-        import hashlib
-
         from repro._version import __version__
 
         entries: Dict[str, Dict[str, Any]] = {}
@@ -709,14 +663,8 @@ class SweepRunner:
                     continue
                 identity = entry.get("identity")
                 if isinstance(identity, dict):
-                    payload = json.dumps(
-                        identity, sort_keys=True, separators=(",", ":")
-                    )
-                    digest = hashlib.sha256(
-                        payload.encode("utf-8")
-                    ).hexdigest()
                     if (
-                        digest != key
+                        identity_key(identity) != key
                         or identity.get("version") != __version__
                     ):
                         stale += 1
@@ -1375,8 +1323,8 @@ class SweepRunner:
         ``max_attempts``; past the budget they resolve to error results.
 
         Workers outlive the round: they stay in ``self._pool`` (with
-        their DAG-template caches and the base specs already shipped to
-        them) until the calling run()/run_adaptive() stops the pool.  A
+        their DAG-template caches) until the calling
+        run()/run_adaptive() stops the pool.  A
         worker that returns a result gets its next assignment before the
         parent caches, checkpoints and records that result.
         """
@@ -1466,29 +1414,9 @@ class SweepRunner:
                     else None
                 )
                 with phase_scope("dispatch"):
-                    payload: Any = job.spec
-                    base_frame = None
-                    enc = self._interner.encode(job.spec)
-                    if enc.delta is not None:
-                        if enc.base_id not in handle.bases_sent:
-                            base = self._interner.bases[enc.base_id]
-                            base_frame = (
-                                _BASE_TAG,
-                                enc.base_id,
-                                wire.spec_to_wire(base),
-                            )
-                        payload = (enc.base_id, enc.delta)
-                        self._m_dispatch_deltas.inc()
-                    self._m_dispatch_bytes.inc(enc.wire_bytes)
-                    self._m_dispatch_saved.inc(enc.saved_bytes)
                     sent = True
                     try:
-                        if base_frame is not None:
-                            handle.conn.send(base_frame)
-                            self._m_dispatch_frames.inc()
-                            handle.bases_sent.add(base_frame[1])
-                        handle.conn.send((job.key, payload, telem_cfg))
-                        self._m_dispatch_frames.inc()
+                        handle.conn.send((job.key, job.spec, telem_cfg))
                     except (OSError, BrokenPipeError):
                         sent = False
                 if not sent:

@@ -65,6 +65,17 @@ def derive_seed(root_seed: int, *components: Any) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def identity_key(identity: Mapping[str, Any]) -> str:
+    """The cache key of a run identity (see :meth:`RunSpec.identity`).
+
+    The one definition of the key format: :meth:`RunSpec.key` hashes a
+    live spec's identity with it, and checkpoint replay re-hashes the
+    identity recorded on each line to validate it.
+    """
+    payload = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One simulation run, described entirely by data.
@@ -118,8 +129,7 @@ class RunSpec:
         cached = self.__dict__.get("_key")
         if cached is not None:
             return cached
-        payload = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = identity_key(self.identity())
         object.__setattr__(self, "_key", digest)
         return digest
 

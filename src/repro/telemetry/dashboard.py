@@ -156,13 +156,8 @@ class Dashboard:
         ]
         if _counter(metrics, "dispatch_frames_total"):
             lines.append(
-                "dispatch: frames {frames:.0f}  deltas {deltas:.0f}  "
-                "spec B {bytes:.0f} (saved {saved:.0f})  "
-                "batched {batched:.0f}".format(
+                "dispatch: frames {frames:.0f}  batched {batched:.0f}".format(
                     frames=_counter(metrics, "dispatch_frames_total"),
-                    deltas=_counter(metrics, "dispatch_deltas_total"),
-                    bytes=_counter(metrics, "dispatch_spec_bytes_total"),
-                    saved=_counter(metrics, "dispatch_bytes_saved_total"),
                     batched=_counter(
                         metrics, "dispatch_roundtrips_saved_total"
                     ),

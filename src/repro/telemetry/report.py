@@ -313,9 +313,6 @@ def _dispatch_cards(final: Dict[str, Any]) -> str:
         return ""
     shown = [
         ("dispatch_frames_total", "dispatch frames"),
-        ("dispatch_deltas_total", "delta-encoded specs"),
-        ("dispatch_spec_bytes_total", "spec bytes shipped"),
-        ("dispatch_bytes_saved_total", "spec bytes saved"),
         ("dispatch_roundtrips_saved_total", "round-trips saved"),
         ("dispatch_placements_total", "placements"),
         ("dispatch_placement_informed_total", "informed placements"),

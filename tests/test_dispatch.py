@@ -1,15 +1,17 @@
-"""Tests for the dispatch fast lane (PR 10).
+"""Tests for the dispatch path.
 
-Covers the delta codec (:mod:`repro.sweep.wire`) with Hypothesis
-round-trip and fuzz properties, RunSpec key memoization, batched
-leasing + spec-aware placement in the cluster coordinator, the framed
-TCP protocol's malformed-input behavior (typed error, never a hang),
-and pool / cluster-inproc bit-identity against serial through the real
-sweep engine.
+Covers the lease spec wire form (:func:`repro.cluster.protocol.spec_to_wire`
+/ :func:`~repro.cluster.protocol.spec_from_wire`) with Hypothesis
+round-trip and fuzz properties, the worker's lease-key check, RunSpec key
+memoization, batched leasing + spec-aware placement in the cluster
+coordinator, the framed TCP protocol's malformed-input behavior (typed
+error, never a hang), and pool / cluster-inproc bit-identity against
+serial through the real sweep engine.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -29,13 +31,18 @@ from repro.cluster.coordinator import (
     _Remote,
 )
 from repro.cluster.worker import start_worker_thread
-from repro.sweep import RunSpec, SweepRunner, wire
+from repro.sweep import RunSpec, SweepRunner
 from repro.sweep.registry import executor
 from repro.telemetry import Telemetry
+
+#: Seeds of every spec the ``dispatch_echo`` executor ran in this
+#: process (inline cluster workers run on threads here).
+_EXECUTED = []
 
 
 @executor("dispatch_echo")
 def _echo(spec):
+    _EXECUTED.append(spec.seed)
     return {"value": float(spec.params["value"])}
 
 
@@ -91,7 +98,7 @@ class TestKeyMemoization:
         assert a.key() == b.key()
 
 
-# -- delta codec: Hypothesis round-trip + fuzz -------------------------
+# -- lease spec wire form: Hypothesis round-trip + fuzz ----------------
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -103,90 +110,55 @@ _params = st.dictionaries(st.text(min_size=1, max_size=8), _scalars,
                           max_size=5)
 _metrics = st.lists(st.text(min_size=1, max_size=8), min_size=1,
                     max_size=3, unique=True)
+_json = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=12,
+)
 
 
-def _mk(kind, params, seed, metrics, tags):
-    return RunSpec(kind=kind, params=params, seed=seed,
-                   metrics=tuple(metrics), tags=tags)
+def _through_json(data):
+    return json.loads(json.dumps(data))
 
 
-class TestDeltaCodec:
+class TestSpecWire:
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(["single", "kmeans_window", "x"]),
-        base_params=_params, spec_params=_params,
-        base_tags=_params, spec_tags=_params,
-        base_seed=st.integers(min_value=0, max_value=2**40),
-        spec_seed=st.integers(min_value=0, max_value=2**40),
+        params=_params, tags=_params,
+        seed=st.integers(min_value=0, max_value=2**40),
         metrics=_metrics,
     )
     # Values Python calls equal but JSON spells differently.
-    @example(kind="single", base_params={"a": False, "b": 0.0},
-             spec_params={"a": 0, "b": -0.0}, base_tags={}, spec_tags={},
-             base_seed=0, spec_seed=0, metrics=["m"])
-    def test_roundtrip(self, kind, base_params, spec_params, base_tags,
-                       spec_tags, base_seed, spec_seed, metrics):
-        base = _mk(kind, base_params, base_seed, metrics, base_tags)
-        spec = _mk(kind, spec_params, spec_seed, metrics, spec_tags)
-        delta = wire.encode_delta(base, spec)
-        rebuilt = wire.apply_delta(base, delta)
+    @example(kind="single", params={"a": False, "b": 0.0, "c": 0, "d": -0.0},
+             tags={}, seed=0, metrics=["m"])
+    def test_roundtrip(self, kind, params, tags, seed, metrics):
+        spec = RunSpec(kind=kind, params=params, seed=seed,
+                       metrics=tuple(metrics), tags=tags)
+        data = protocol.spec_to_wire(spec)
+        rebuilt = protocol.spec_from_wire(_through_json(data))
         assert rebuilt == spec
         assert rebuilt.key() == spec.key()
+        assert json.dumps(protocol.spec_to_wire(rebuilt)) == json.dumps(data)
 
-    @settings(max_examples=60, deadline=None)
-    @given(payload=st.recursive(
-        _scalars,
-        lambda children: st.one_of(
-            st.lists(children, max_size=4),
-            st.dictionaries(st.text(max_size=8), children, max_size=4),
-        ),
-        max_leaves=12,
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.one_of(
+        _json,
+        st.fixed_dictionaries({}, optional={
+            "kind": _json, "params": _json, "seed": _json,
+            "metrics": _json, "tags": _json,
+        }),
     ))
-    def test_fuzzed_delta_never_hangs_or_leaks(self, payload):
-        base = _spec(1)
+    def test_fuzzed_payload_rebuilds_or_raises_typed_error(self, payload):
         try:
-            rebuilt = wire.apply_delta(base, payload)
-        except wire.SpecDeltaError:
+            rebuilt = protocol.spec_from_wire(_through_json(payload))
+        except protocol.SpecWireError:
             return  # the typed, retryable outcome
         assert isinstance(rebuilt, RunSpec)
-
-    def test_interner_delta_smaller_and_decodable(self):
-        interner = wire.SpecInterner()
-        decoder = wire.SpecDecoder()
-        base = _spec(0, pad="x" * 64)
-        first = interner.encode(base)
-        assert first.delta is None  # group base ships whole
-        decoder.add_base(wire.wire_id(base), first.full)
-        rep = _spec(1, pad="x" * 64)
-        enc = interner.encode(rep)
-        assert enc.delta is not None
-        assert enc.wire_bytes < enc.full_bytes
-        rebuilt = decoder.decode({"base": enc.base_id, "delta": enc.delta})
-        assert rebuilt == rep and rebuilt.key() == rep.key()
-
-    def test_unknown_base_is_typed_error(self):
-        decoder = wire.SpecDecoder()
-        with pytest.raises(wire.SpecDeltaError):
-            decoder.decode({"base": "deadbeef", "delta": {}})
-
-    def test_base_registration_is_content_checked(self):
-        decoder = wire.SpecDecoder()
-        data = wire.spec_to_wire(_spec(1))
-        with pytest.raises(wire.SpecDeltaError):
-            decoder.add_base("not-the-content-hash", data)
-
-    def test_unknown_delta_field_rejected(self):
-        with pytest.raises(wire.SpecDeltaError):
-            wire.apply_delta(_spec(1), {"kindd": "single"})
-
-    def test_batch_pseudo_specs_always_ship_whole(self):
-        from repro.sweep.spec import BATCH_KIND
-
-        interner = wire.SpecInterner()
-        batch = RunSpec(kind=BATCH_KIND, params={"members": [1, 2]},
-                        metrics=("value",))
-        for _ in range(2):
-            assert interner.encode(batch).delta is None
+        assert isinstance(rebuilt.key(), str)  # the worker's key check
 
 
 # -- framed TCP protocol: malformed input never hangs ------------------
@@ -307,11 +279,7 @@ class TestBatchedLeasing:
         assert len(report.outcomes) == 8
         assert all(o.status == "ok" for o in report.outcomes.values())
         assert _metric(tele, "dispatch_roundtrips_saved_total") > 0
-        assert _metric(tele, "dispatch_deltas_total") > 0
-        assert _metric(tele, "dispatch_bytes_saved_total") > 0
-        # Bases ship at most once per group per connection.
-        base_frames = _metric(tele, "dispatch_frames_total")
-        assert base_frames > 0
+        assert _metric(tele, "dispatch_frames_total") > 0
 
     def test_batched_lease_revoke_still_two_phase(self):
         """A lease granted in a batch is still individually revocable."""
@@ -401,15 +369,33 @@ class TestBatchedLeasing:
             coord.close()
 
 
-# -- decode-failure retry path -----------------------------------------
+# -- decode failures: the lease-key check and its retry path ----------
 class TestDecodeFailureRetry:
-    def test_unknown_base_result_reships_bases(self):
-        """A worker that reports kind="decode" gets every base re-shipped
-        on the retry instead of a permanently poisoned session."""
+    def test_lease_spec_must_rebuild_its_key(self):
+        """A worker runs only the spec the coordinator keyed: a lease
+        whose spec rebuilds another key fails with kind="decode" before
+        anything executes, and nothing is committed under the key."""
+        spec_a, spec_b = _spec(101), _spec(102)
+        coord = ClusterCoordinator("inproc://t-lease-key", max_attempts=1)
+        worker = start_worker_thread(coord.address, name="w0")
+        _EXECUTED.clear()
+        try:
+            report = coord.execute([(spec_a.key(), spec_b, 1)])
+        finally:
+            coord.close()
+            worker.stop()
+        outcome = report.outcomes[spec_a.key()]
+        assert outcome.status == "exhausted"
+        assert outcome.kind == "decode"
+        assert outcome.payload["type"] == "SpecWireError"
+        assert spec_b.seed not in _EXECUTED
+
+    def test_decode_result_requeues_with_backoff(self):
+        """A kind="decode" result is an infrastructure failure: the cell
+        is requeued with backoff, not resolved."""
         coord = ClusterCoordinator("inproc://t-decode-retry")
         sink = _FrameSink()
         worker = _Remote(name="w0", conn=sink)
-        worker.bases_sent.add("some-base")
         coord._workers["w0"] = worker
         spec = _spec(0)
         cell = _Cell(key=spec.key(), spec=spec)
@@ -424,12 +410,12 @@ class TestDecodeFailureRetry:
             coord._handle_result(worker, {
                 "lease": "L1", "key": cell.key, "ok": False,
                 "kind": "decode",
-                "payload": {"type": "SpecDeltaError", "message": "x"},
+                "payload": {"type": "SpecWireError", "message": "x"},
                 "wall": 0.0,
             })
-            assert worker.bases_sent == set()  # re-ship on retry
             assert cell.key in coord._unresolved  # not resolved: retrying
             assert len(coord._queue) == 1  # requeued with backoff
+            assert coord._queue[0].not_before > 0
         finally:
             coord.close()
 
@@ -454,17 +440,3 @@ class TestEngineBitIdentity:
         cluster = self._run(jobs=2, cluster="inproc")
         serial = self._run(jobs=1)
         assert cluster == serial
-
-    def test_pool_ships_deltas(self):
-        tele = Telemetry(enabled=True)
-        runner = SweepRunner(
-            jobs=2, use_cache=False, progress=False, telemetry=tele
-        )
-        specs = [_spec(v, pad="z" * 40) for v in range(8)]
-        try:
-            rows = runner.run(specs)
-        finally:
-            runner.close()
-        assert [r["value"] for r in rows] == [float(v) for v in range(8)]
-        assert _metric(tele, "dispatch_deltas_total") > 0
-        assert _metric(tele, "dispatch_bytes_saved_total") > 0
