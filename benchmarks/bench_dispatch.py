@@ -2,12 +2,17 @@
 
 Runs one overhead-dominated sweep — many tiny ``single`` cells differing
 only in their seed — serially and through each dispatch path (local
-process pool, inproc cluster, 2-worker TCP cluster), and reports wall
-clock, throughput and per-cell overhead per path.
+process pool, inproc cluster, 2-worker TCP cluster), ``REPEATS`` times
+each, and reports per path the median and quartiles of wall clock and
+per-cell overhead.  The paths take turns within each repetition, in
+alternating order, so a slow spell of a shared host lands on all of
+them rather than on whichever ran last.  Every sweep builds a fresh
+runner, so the pool and inproc figures include starting and stopping
+their two worker processes.
 
-Each path's metrics are asserted **bit-identical** to the serial run
-before its timing is reported: dispatch is transport and scheduling
-only, it must never change a result.
+Each sweep's metrics are asserted **bit-identical** to the serial
+reference run before any timing is reported: dispatch is transport and
+scheduling only, it must never change a result.
 
 Usage::
 
@@ -24,15 +29,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sweep.engine import SweepRunner
 from repro.sweep.spec import RunSpec
 
 #: Workers per path — the acceptance scenario is a 2-worker TCP cluster.
 JOBS = 2
+
+#: Timed sweeps per path.  One sweep per path cannot resolve the
+#: differences between paths: on a shared host it varies by a factor of
+#: two from run to run.
+REPEATS = 7
 
 
 def tiny_spec(seed: int, total: int) -> RunSpec:
@@ -61,7 +72,11 @@ def tiny_spec(seed: int, total: int) -> RunSpec:
 def _make_runner(mode: str, label: str) -> Tuple[SweepRunner, List[Any]]:
     """Build a runner (and, for TCP, its external workers) for ``mode``."""
     workers: List[Any] = []
-    if mode == "pool":
+    if mode == "serial":
+        runner = SweepRunner(
+            jobs=1, use_cache=False, progress=False, label=label
+        )
+    elif mode == "pool":
         runner = SweepRunner(
             jobs=JOBS, use_cache=False, progress=False, label=label
         )
@@ -93,13 +108,11 @@ def _make_runner(mode: str, label: str) -> Tuple[SweepRunner, List[Any]]:
     return runner, workers
 
 
-def bench_mode(
-    mode: str,
-    specs: List[RunSpec],
-    reference: List[Dict[str, Any]],
-    exec_seconds_per_cell: float,
-) -> Dict[str, Any]:
-    """One sweep through ``mode``: identity against serial, then timing."""
+def timed_sweep(
+    mode: str, specs: List[RunSpec], reference: List[Dict[str, Any]]
+) -> float:
+    """One sweep through ``mode``; its wall seconds, once the metrics
+    are shown equal to the serial reference."""
     runner, workers = _make_runner(mode, label=f"dispatch-{mode}")
     try:
         start = time.perf_counter()
@@ -113,17 +126,13 @@ def bench_mode(
         raise SystemExit(
             f"FAIL: {mode}: metrics differ from the serial reference"
         )
-    n = len(specs)
-    overhead = max(0.0, wall / n - exec_seconds_per_cell / JOBS)
-    return {
-        "mode": mode,
-        "cells": n,
-        "workers": JOBS,
-        "bit_identical": True,
-        "wall_s": wall,
-        "throughput_cells_per_s": n / wall,
-        "per_cell_overhead_ms": 1e3 * overhead,
-    }
+    return wall
+
+
+def quartiles(values: Sequence[float]) -> Dict[str, float]:
+    """Median and quartiles of ``values``."""
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -140,24 +149,41 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     specs = [tiny_spec(seed, args.total) for seed in range((args.cells))]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    n = len(specs)
 
-    # Serial reference: the ground truth for bit-identity, and the pure
-    # execution time that the overhead estimate subtracts out.
-    serial = SweepRunner(
-        jobs=1, use_cache=False, progress=False, label="dispatch-serial"
-    )
-    start = time.perf_counter()
-    reference = serial.run(specs)
-    exec_per_cell = (time.perf_counter() - start) / len(specs)
+    # Serial reference: the ground truth for bit-identity.  Serial runs
+    # also take their turn below; their median is the pure execution
+    # time that the overhead estimate subtracts out.
+    reference = _make_runner("serial", label="dispatch-serial")[0].run(specs)
+
+    walls: Dict[str, List[float]] = {mode: [] for mode in ["serial"] + modes}
+    for rep in range(REPEATS):
+        order = list(walls) if rep % 2 == 0 else list(reversed(walls))
+        for mode in order:
+            walls[mode].append(timed_sweep(mode, specs, reference))
+    exec_per_cell = statistics.median(walls["serial"]) / n
 
     results = []
     for mode in modes:
-        result = bench_mode(mode, specs, reference, exec_per_cell)
-        results.append(result)
+        wall = quartiles(walls[mode])
+        overhead = quartiles([
+            1e3 * max(0.0, w / n - exec_per_cell / JOBS) for w in walls[mode]
+        ])
+        results.append({
+            "mode": mode,
+            "cells": n,
+            "workers": JOBS,
+            "bit_identical": True,
+            "wall_s": wall,
+            "throughput_cells_per_s": n / wall["median"],
+            "per_cell_overhead_ms": overhead,
+        })
         print(
-            f"{mode:7s} {result['cells']} cells x {JOBS} workers: "
-            f"{result['wall_s']:.2f}s, per-cell overhead "
-            f"{result['per_cell_overhead_ms']:.1f}ms, bit-identical"
+            f"{mode:7s} {n} cells x {JOBS} workers, {REPEATS} sweeps: "
+            f"wall {wall['median']:.3f}s [{wall['q1']:.3f}-"
+            f"{wall['q3']:.3f}], per-cell overhead "
+            f"{overhead['median']:.2f}ms [{overhead['q1']:.2f}-"
+            f"{overhead['q3']:.2f}], bit-identical"
         )
 
     out = {
@@ -165,7 +191,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cells": args.cells,
         "tasks_per_cell": args.total,
         "workers": JOBS,
+        "repeats": REPEATS,
         "exec_seconds_per_cell_serial": exec_per_cell,
+        "serial_wall_s": quartiles(walls["serial"]),
         "bit_identical": all(r["bit_identical"] for r in results),
         "modes": results,
     }

@@ -3,21 +3,27 @@
 ``python -m repro.cluster.worker --connect tcp://host:port`` joins a
 coordinator (:mod:`repro.cluster.coordinator`) and executes the
 :class:`~repro.sweep.spec.RunSpec`\\ s it is leased.  The same class
-runs in-thread for tests and for ``--cluster inproc`` auto-workers.
+runs on a thread of the sweep's own process for ``--cluster inproc``
+auto-workers, the chaos harness and tests.
 
 Two execution modes:
 
-* ``isolate=False`` (library/test default): leases execute via
-  :func:`~repro.sweep.registry.execute_spec` on executor threads inside
-  this process — deterministic and cheap, with crash isolation
-  delegated to the coordinator's lease machinery.
-* ``isolate=True`` (the CLI default): each executor thread wraps one
-  long-lived subprocess running the *existing* supervised-pool worker
-  loop (:func:`repro.sweep.engine._worker_main`), so remote cells get
-  exactly the single-host pool's crash/timeout containment — a
-  subprocess that dies or blows the per-run budget is reported as a
-  ``crash``/``timeout`` result and respawned, and the coordinator's
-  retry budget takes it from there.
+* ``isolate=True`` (the CLI default, and every ``--cluster inproc``
+  auto-worker): each executor thread wraps one long-lived subprocess
+  running the supervised-pool worker loop
+  (:func:`repro.sweep.engine._worker_main`), so leases run on their own
+  CPUs and get exactly the single-host pool's crash/timeout
+  containment — a subprocess that dies or blows the per-run budget is
+  reported as a ``crash``/``timeout`` result and respawned, and the
+  coordinator's retry budget takes it from there.  Stopping the worker
+  ends each subprocess gracefully: ``None`` on its pipe, a bounded
+  join, and ``terminate`` only if it is still alive (or was stopped
+  mid-run).
+* ``isolate=False`` (the class default; ``--no-isolate``): leases
+  execute via :func:`~repro.sweep.registry.execute_spec` on executor
+  threads inside this process — no subprocess to start, with crash
+  isolation delegated to the coordinator's lease machinery.  The chaos
+  harness and the coordinator tests use it.
 
 The main loop is never blocked by execution: it pumps the connection,
 flushes the outbox, and heartbeats on ``heartbeat_interval`` — so a
@@ -99,7 +105,10 @@ class ClusterWorker:
         self.chaos = chaos
         self.telemetry_on = False
         self._conn: Optional[comm.Connection] = None
-        self._running = False
+        #: Cleared by stop(), a shutdown message or a chaos kill.  Set
+        #: here rather than in run(), so a stop() that lands before the
+        #: worker's thread gets to run() still holds.
+        self._running = True
         self._killed = False
         self._lock = threading.Lock()
         #: Wakes executor threads the moment a lease lands; shares
@@ -203,11 +212,17 @@ class ClusterWorker:
                 # A started lease is never handed back: its result wins
                 # or loses the commit race at the coordinator.
         elif mtype == protocol.MSG_SHUTDOWN:
+            self._halt()
+
+    def _halt(self) -> None:
+        """Stop serving and wake every executor waiting for a lease."""
+        with self._lease_cv:
             self._running = False
+            self._lease_cv.notify_all()
 
     def _take_lease(self, wait: float = 0.0) -> Optional[Dict[str, Any]]:
         with self._lease_cv:
-            if not self._leases and wait > 0:
+            if not self._leases and wait > 0 and self._running:
                 self._lease_cv.wait(wait)
             if self._leases:
                 return self._leases.popleft()
@@ -257,6 +272,29 @@ class ClusterWorker:
         child.close()
         return proc, parent
 
+    @staticmethod
+    def _stop_pool_proc(state: Dict[str, Any], graceful: bool) -> None:
+        """Stop and reap this slot's subprocess, if it has one.
+
+        ``graceful`` (an idle subprocess) sends ``None``, which ends its
+        loop with exit code 0, and joins with a bound; a subprocess
+        still alive after that — or one stopped mid-run — is terminated.
+        """
+        proc, pipe = state.get("proc"), state.get("pipe")
+        state["proc"] = state["pipe"] = None
+        if proc is None:
+            return
+        if graceful:
+            try:
+                pipe.send(None)
+            except (OSError, BrokenPipeError):
+                pass
+            proc.join(timeout=5.0)
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=5.0)
+        pipe.close()
+
     def _execute_isolated(
         self, state: Dict[str, Any], key: str, spec,
         timeout: Optional[float], width: int,
@@ -265,7 +303,9 @@ class ClusterWorker:
 
         Mirrors the single-host pool's contract: a dead subprocess is a
         ``crash``, one past ``timeout * width`` is killed and reported
-        as a ``timeout``; either way the subprocess is replaced.
+        as a ``timeout``; either way the subprocess is replaced.  A
+        worker stopped mid-run terminates the subprocess: nobody is left
+        to take the result.
         """
         from repro.telemetry import HEARTBEAT_TAG
 
@@ -280,7 +320,7 @@ class ClusterWorker:
         try:
             pipe.send((key, spec, telem))
         except (OSError, BrokenPipeError):
-            state["proc"] = state["pipe"] = None
+            self._stop_pool_proc(state, graceful=False)
             return (
                 False,
                 {"type": "SweepWorkerError",
@@ -298,9 +338,7 @@ class ClusterWorker:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-                    state["proc"] = state["pipe"] = None
+                    self._stop_pool_proc(state, graceful=False)
                     return (
                         False,
                         {"type": "SweepTimeout",
@@ -327,8 +365,20 @@ class ClusterWorker:
                 return False, payload, "exception", snap
             elif not proc.is_alive():
                 break
-        code = proc.exitcode if proc is not None else None
-        state["proc"] = state["pipe"] = None
+            elif not self._running:
+                self._stop_pool_proc(state, graceful=False)
+                return (
+                    False,
+                    {"type": "SweepWorkerError",
+                     "message": "worker stopped mid-run"},
+                    "crash",
+                    None,
+                )
+        # Dead, or tore its pipe on its way out: let it finish exiting,
+        # so the exit code is known, then reap it.
+        proc.join(timeout=5.0)
+        code = proc.exitcode
+        self._stop_pool_proc(state, graceful=False)
         return (
             False,
             {"type": "SweepWorkerError",
@@ -414,10 +464,7 @@ class ClusterWorker:
                 )
                 self.results_completed += 1
         finally:
-            proc = state.get("proc")
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
+            self._stop_pool_proc(state, graceful=True)
 
     # -- the main loop ---------------------------------------------------
     def _heartbeat(self) -> None:
@@ -461,7 +508,6 @@ class ClusterWorker:
 
     def run(self) -> None:
         """Serve leases until shutdown, stop, or a chaos kill."""
-        self._running = True
         for slot in range(self.capacity):
             thread = threading.Thread(
                 target=self._executor_loop,
@@ -500,7 +546,7 @@ class ClusterWorker:
                 self._heartbeat()
                 self._apply_chaos()
         finally:
-            self._running = False
+            self._halt()
             if self._conn is not None and not self._killed:
                 try:
                     self._conn.send({"type": protocol.MSG_GOODBYE})
@@ -512,16 +558,17 @@ class ClusterWorker:
             self._executors.clear()
 
     def stop(self) -> None:
-        """Ask the worker loop to exit (thread-safe)."""
-        self._running = False
+        """Ask the worker loop to exit (thread-safe); its executors wake
+        at once and stop their subprocesses."""
+        self._halt()
 
 
 def start_worker_thread(
     address: str, name: Optional[str] = None, **kwargs
 ) -> ClusterWorker:
-    """Spawn a :class:`ClusterWorker` on a daemon thread (tests, and the
-    ``--cluster inproc`` auto-pool).  Returns the worker; its thread is
-    ``worker._thread``."""
+    """Spawn a :class:`ClusterWorker` on a daemon thread (tests, the
+    chaos harness, and the ``--cluster inproc`` auto-workers).  Returns
+    the worker; its thread is ``worker._thread``."""
     worker = ClusterWorker(address, name=name, **kwargs)
     thread = threading.Thread(
         target=worker.run, name=f"cluster-{worker.name}", daemon=True

@@ -425,11 +425,14 @@ class SweepRunner:
     cluster:
         Route execution through the :mod:`repro.cluster` coordinator
         instead of the local pool (see ``docs/cluster.md``).  ``"inproc"``
-        listens on an automatic in-process address and spawns ``jobs``
-        worker threads itself; an explicit ``inproc://name`` or
-        ``tcp://host:port`` address listens there and waits for external
-        workers (``python -m repro.cluster.worker --connect ...``) to
-        join.  Caching, checkpointing, ``resume`` and retry budgets work
+        listens on an automatic in-process address and starts ``jobs``
+        auto-workers itself, each running its leases in one persistent
+        subprocess; like the local pool, they live for one
+        run()/run_adaptive() call and are stopped and reaped before it
+        returns.  An explicit ``inproc://name`` or ``tcp://host:port``
+        address listens there and waits for external workers
+        (``python -m repro.cluster.worker --connect ...``) to join.
+        Caching, checkpointing, ``resume`` and retry budgets work
         identically; results are bit-identical to a local run.
     lease_timeout / liveness_timeout:
         Cluster-only overrides for the coordinator's lease-expiry and
@@ -484,6 +487,8 @@ class SweepRunner:
         self.lease_timeout = lease_timeout
         self.liveness_timeout = liveness_timeout
         self._coordinator = None
+        #: The ``"inproc"`` auto-workers of the current call; the call's
+        #: first cluster round starts them, with their coordinator.
         self._cluster_workers: List[Any] = []
         #: Every live local-pool worker, idle or busy.  The first
         #: supervised round of a run()/run_adaptive() call starts them,
@@ -1038,8 +1043,15 @@ class SweepRunner:
 
     # -- cluster execution ----------------------------------------------
     def _ensure_coordinator(self):
-        """Create (once) the cluster coordinator — and, for the plain
-        ``"inproc"`` mode, its in-process auto-workers."""
+        """Create the cluster coordinator unless one is open — and, for
+        the plain ``"inproc"`` mode, its auto-workers.
+
+        An explicit address keeps its coordinator until :meth:`close`.
+        The ``"inproc"`` coordinator and its auto-workers follow the
+        local pool's lifecycle: the first cluster round of a
+        run()/run_adaptive() call creates them, later rounds reuse them,
+        and the call ends with :meth:`_stop_cluster_workers`.
+        """
         if self._coordinator is not None:
             return self._coordinator
         from repro.cluster.coordinator import ClusterCoordinator
@@ -1068,16 +1080,17 @@ class SweepRunner:
         if auto_workers:
             from repro.cluster.worker import start_worker_thread
 
-            # Auto-workers need subprocess isolation only to *enforce* a
-            # per-run timeout; without one, in-thread execution is
-            # cheaper and behaves identically.
+            # Each auto-worker runs its leases in one persistent
+            # subprocess (the pool's _worker_main), so the sweep gets
+            # ``jobs`` CPUs rather than one shared interpreter lock, and
+            # a per-run timeout can kill a run.
             for i in range(auto_workers):
                 self._cluster_workers.append(
                     start_worker_thread(
                         self._coordinator.address,
                         name=f"local-{i}",
                         capacity=1,
-                        isolate=self.timeout is not None,
+                        isolate=True,
                         reconnect_timeout=5.0,
                     )
                 )
@@ -1179,14 +1192,33 @@ class SweepRunner:
         self._m_timeouts.inc(report.timeouts)
         self._m_retries.inc(report.retries)
 
+    def _stop_cluster_workers(self) -> None:
+        """Stop the ``"inproc"`` auto-workers and their coordinator;
+        run()/run_adaptive() end with this, as with the local pool.
+
+        Closing the coordinator sends each worker its shutdown; each
+        worker then ends its subprocess gracefully (``None`` on the pipe,
+        a bounded join, ``terminate`` only as a fallback or for a run cut
+        off when the sweep raised).  Joining the worker threads here
+        reaps every subprocess before the call returns, inside the
+        call's trace span and CPU accounting.
+        """
+        if not self._cluster_workers:
+            return
+        self._coordinator.close()
+        self._coordinator = None
+        for worker in self._cluster_workers:
+            worker.stop()
+        for worker in self._cluster_workers:
+            worker._thread.join(timeout=15.0)
+        self._cluster_workers = []
+
     def close(self) -> None:
         """Release cluster resources (idempotent; local-pool no-op)."""
+        self._stop_cluster_workers()
         if self._coordinator is not None:
             self._coordinator.close()
             self._coordinator = None
-        for worker in self._cluster_workers:
-            worker.stop()
-        self._cluster_workers = []
 
     def _run_inline(
         self,
@@ -1612,6 +1644,7 @@ class SweepRunner:
             results, walls, batch = self._execute_unique(unique)
         finally:
             self._stop_pool()
+            self._stop_cluster_workers()
 
         stats = SweepStats(
             label=self.label,
@@ -1791,6 +1824,7 @@ class SweepRunner:
                 tele.flush(force=True)
         finally:
             self._stop_pool()
+            self._stop_cluster_workers()
 
         aggregated: Dict[str, Dict[str, Any]] = {}
         for key, reps in rep_results.items():

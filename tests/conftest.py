@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.kernels.fixed import FixedWorkKernel
@@ -35,3 +37,17 @@ def tiny_kernel() -> FixedWorkKernel:
     """A 1 ms (at speed 1) rigid-ish kernel for runtime tests."""
     return FixedWorkKernel("tiny", work=1e-3, parallel_fraction=0.8,
                            memory_intensity=0.0)
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Every ``multiprocessing.Process`` the test starts, in order."""
+    started = []
+    original = multiprocessing.Process.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    return started

@@ -1,13 +1,15 @@
 """Tests for the coordinator/worker cluster backend (repro.cluster).
 
-Thread-backed inproc workers share this process, so chaos executors
-registered here are visible to them; the TCP smoke test spawns real
+Inproc workers — threads of this process, or the subprocesses that
+``--cluster inproc`` auto-workers fork from it — see the executors
+registered here; the TCP smoke test spawns real
 ``python -m repro.cluster.worker`` subprocesses and therefore sticks to
 spec kinds from the built-in registry.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,7 +24,14 @@ from repro.cluster.chaos import run_chaos_proof
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.worker import start_worker_thread
 from repro.errors import ConfigurationError
-from repro.sweep import ERROR_KEY, RunSpec, SweepRunner, is_error_result, pop_stats
+from repro.sweep import (
+    ERROR_KEY,
+    AdaptivePolicy,
+    RunSpec,
+    SweepRunner,
+    is_error_result,
+    pop_stats,
+)
 from repro.sweep.registry import executor
 from repro.telemetry import Telemetry
 
@@ -46,6 +55,14 @@ def _sleep(spec):
     return {"value": float(spec.params.get("value", 0))}
 
 
+@executor("cluster_crash")
+def _crash(spec):
+    """Kills its worker subprocess; raises instead when run in-thread."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("cluster_crash runs only in a worker subprocess")
+    os._exit(3)
+
+
 def _executions(counter) -> int:
     try:
         with open(counter) as fh:
@@ -64,6 +81,15 @@ def _jobs(specs):
 
 def _metric(telemetry, name) -> float:
     return telemetry.registry.get(name).value
+
+
+def _auto_worker_threads():
+    """Live threads of ``--cluster inproc`` auto-workers (``local-<i>``)."""
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("cluster-local-", "local-"))
+    ]
 
 
 class TestComm:
@@ -290,6 +316,28 @@ class TestCoordinator:
         finally:
             worker.stop()
 
+    def test_stopped_isolated_worker_ends_its_subprocess_cleanly(
+        self, process_starts
+    ):
+        # stop() sends the idle subprocess None and joins it: exit code
+        # 0, not the -15 of a SIGTERM.
+        started = process_starts
+        coord = self._coordinator("t-isolated-stop")
+        worker = start_worker_thread(
+            coord.address, name="iso", capacity=1, isolate=True
+        )
+        spec = _spec("cluster_echo", value=7)
+        try:
+            report = coord.execute(_jobs([spec]))
+        finally:
+            worker.stop()
+            worker._thread.join(timeout=15.0)
+            coord.close()
+        assert report.outcomes[spec.key()].payload == {"value": 7.0}
+        assert not worker._thread.is_alive()
+        assert len(started) == 1
+        assert [proc.exitcode for proc in started] == [0]
+
     def test_closed_coordinator_rejects_execute(self):
         coord = self._coordinator("t-closed-exec")
         coord.close()
@@ -334,6 +382,88 @@ class TestClusterSweep:
         (stats,) = pop_stats()
         assert stats.executed == len(specs)
         assert stats.jobs == 2  # peak live cluster workers
+
+    #: ci=0 stops only cells whose replicates are identical; these vary,
+    #: so every cell grows to max_seeds: round 1 runs 2 replicates per
+    #: cell, rounds 2-4 one more each.
+    POLICY = AdaptivePolicy(ci=0.0, min_seeds=2, max_seeds=5)
+
+    @staticmethod
+    def _cells():
+        return [
+            RunSpec(
+                kind="single",
+                params={
+                    "workload": {"name": "layered", "kernel": "copy",
+                                 "parallelism": 2, "total": 16},
+                    "machine": "jetson_tx2",
+                    "scheduler": scheduler,
+                },
+                seed=3,
+                metrics=("throughput", "tasks_completed"),
+            )
+            for scheduler in ("rws", "dam-c", "fam-c")
+        ]
+
+    def _serial(self, tmp_path):
+        return self._runner(tmp_path, jobs=1).run_adaptive(
+            self._cells(), self.POLICY
+        )
+
+    def test_adaptive_call_starts_one_process_per_auto_worker(
+        self, tmp_path, process_starts
+    ):
+        serial = self._serial(tmp_path)
+        started = process_starts
+        pop_stats()
+        runner = self._runner(tmp_path, jobs=2, cluster="inproc")
+        try:
+            rows = runner.run_adaptive(self._cells(), self.POLICY)
+            # Checked before close(): the call itself reaps its workers.
+            assert multiprocessing.active_children() == []
+            assert _auto_worker_threads() == []
+        finally:
+            runner.close()
+        (stats,) = pop_stats()
+        assert rows == serial
+        assert stats.executed == 3 * self.POLICY.max_seeds
+        assert len(started) == 2
+        assert [proc.exitcode for proc in started] == [0, 0]
+
+    def test_no_auto_worker_outlives_a_failed_sweep(
+        self, tmp_path, monkeypatch, process_starts
+    ):
+        started = process_starts
+        runner = self._runner(tmp_path, jobs=2, cluster="inproc")
+        original = runner._record_success
+        calls = []
+
+        def record_success(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 10:
+                raise RuntimeError("commit failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_record_success", record_success)
+        # Round 1 has 19 jobs, so the 10th commit leaves leases out on
+        # both workers.
+        cells = self._cells() + [
+            _spec("cluster_sleep", sleep=0.01 * i, value=i)
+            for i in range(1, 9)
+        ]
+        try:
+            with pytest.raises(RuntimeError, match="commit failed"):
+                runner.run_adaptive(cells, self.POLICY)
+            assert started
+            assert not any(proc.is_alive() for proc in started)
+            assert _auto_worker_threads() == []
+            # The next call starts fresh auto-workers and completes.
+            rows = runner.run_adaptive(self._cells(), self.POLICY)
+            assert not any(proc.is_alive() for proc in started)
+            assert _auto_worker_threads() == []
+        finally:
+            runner.close()
+        assert rows == self._serial(tmp_path)
 
     def test_each_cell_executes_exactly_once(self, tmp_path):
         counter = tmp_path / "c"
@@ -383,6 +513,24 @@ class TestClusterSweep:
         assert row[ERROR_KEY]["kind"] == "timeout"
         (stats,) = pop_stats()
         assert stats.timeouts >= 1
+        assert stats.exhausted == 1
+
+    def test_auto_worker_crash_retried_then_exhausted(self, tmp_path):
+        pop_stats()
+        runner = self._runner(
+            tmp_path, jobs=1, cluster="inproc", max_attempts=2
+        )
+        try:
+            (row,) = runner.run([_spec("cluster_crash")])
+        finally:
+            runner.close()
+        assert is_error_result(row)
+        err = row[ERROR_KEY]
+        assert err["kind"] == "crash"
+        assert err["attempts"] == 2
+        assert "exit code 3" in err["message"]
+        (stats,) = pop_stats()
+        assert stats.retries == 1
         assert stats.exhausted == 1
 
     def test_exhausted_cells_counted_in_stats(self, tmp_path):

@@ -10,7 +10,6 @@ checkpoint/resume behavior from the outside.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import time
@@ -541,26 +540,14 @@ class TestPoolLifecycle:
             for scheduler in ("rws", "dam-c", "fam-c")
         ]
 
-    @staticmethod
-    def _count_starts(monkeypatch):
-        started = []
-        original = multiprocessing.Process.start
-
-        def start(self):
-            started.append(self)
-            original(self)
-
-        monkeypatch.setattr(multiprocessing.Process, "start", start)
-        return started
-
     def _serial(self, tmp_path):
         return _runner(tmp_path, jobs=1).run_adaptive(
             self._cells(), self.POLICY
         )
 
-    def test_adaptive_sweep_starts_one_pool(self, tmp_path, monkeypatch):
+    def test_adaptive_sweep_starts_one_pool(self, tmp_path, process_starts):
         serial = self._serial(tmp_path)
-        started = self._count_starts(monkeypatch)
+        started = process_starts
         pop_stats()
         rows = _runner(tmp_path, jobs=2).run_adaptive(
             self._cells(), self.POLICY
@@ -571,8 +558,10 @@ class TestPoolLifecycle:
         assert len(started) == 2
         assert not any(proc.is_alive() for proc in started)
 
-    def test_no_worker_outlives_a_failed_sweep(self, tmp_path, monkeypatch):
-        started = self._count_starts(monkeypatch)
+    def test_no_worker_outlives_a_failed_sweep(
+        self, tmp_path, monkeypatch, process_starts
+    ):
+        started = process_starts
         runner = _runner(tmp_path, jobs=2)
         original = runner._record_success
         calls = []
@@ -601,10 +590,10 @@ class TestPoolLifecycle:
         assert not any(proc.is_alive() for proc in started)
 
     def test_worker_killed_while_idle_is_replaced(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, process_starts
     ):
         serial = self._serial(tmp_path)
-        started = self._count_starts(monkeypatch)
+        started = process_starts
         runner = _runner(tmp_path, jobs=2, max_attempts=1)
         original = runner._execute_unique
         victims = []
