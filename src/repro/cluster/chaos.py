@@ -214,6 +214,12 @@ def run_chaos_proof(
         liveness_timeout=LIVENESS_TIMEOUT * stretch,
         telemetry=tele,
     )
+    # Listen before the chaos workers start, so each one registers on
+    # its first connect and is leased work from the first grant.  A
+    # worker that found no listener would retry after its reconnect
+    # delay, join ~0.1 s late with little left to lease, and could see
+    # the sweep end before its kill or pause fired.
+    runner._ensure_coordinator()
     spawned = [
         start_worker_thread(
             address,
