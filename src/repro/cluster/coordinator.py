@@ -766,9 +766,9 @@ class ClusterCoordinator:
             self._lose_worker(worker, reason="goodbye")
         return worker
 
-    def _pump(self, now: float) -> bool:
-        """Accept joins and drain every connection; True if anything
-        happened (used to decide whether the loop may sleep)."""
+    def _accept(self, now: float) -> bool:
+        """Accept joins and read the register frames of unregistered
+        connections; True if anything happened."""
         activity = False
         while True:
             try:
@@ -796,6 +796,28 @@ class ClusterCoordinator:
             except comm.ConnectionClosed:
                 if conn in self._pending_conns:
                     self._pending_conns.remove(conn)
+        return activity
+
+    def await_workers(self, count: int, timeout: float) -> None:
+        """Return once ``count`` workers have registered.
+
+        Only joins and registrations are processed meanwhile.  Raises
+        :class:`~repro.cluster.comm.ClusterError` when fewer than
+        ``count`` have registered after ``timeout`` seconds.
+        """
+        deadline = time.monotonic() + timeout
+        while len(self._workers) < count:
+            if time.monotonic() >= deadline:
+                raise comm.ClusterError(
+                    f"{len(self._workers)} of {count} workers registered"
+                )
+            if not self._accept(time.monotonic()):
+                time.sleep(0.001)
+
+    def _pump(self, now: float) -> bool:
+        """Accept joins and drain every connection; True if anything
+        happened (used to decide whether the loop may sleep)."""
+        activity = self._accept(now)
         for worker in list(self._workers.values()):
             try:
                 while True:

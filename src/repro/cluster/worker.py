@@ -229,9 +229,7 @@ class ClusterWorker:
         return None
 
     # -- execution -------------------------------------------------------
-    def _execute_inline(
-        self, spec, timeout: Optional[float], width: int
-    ):
+    def _execute_inline(self, spec, builder):
         """Run a spec on this thread; returns (ok, payload, kind, snap)."""
         from repro.sweep.registry import execute_spec
 
@@ -244,12 +242,12 @@ class ClusterWorker:
                     registry = MetricsRegistry()
                     previous = install(registry)
                     try:
-                        metrics = execute_spec(spec)
+                        metrics = execute_spec(spec, builder)
                     finally:
                         install(previous)
                     snap = registry.snapshot()
             else:
-                metrics = execute_spec(spec)
+                metrics = execute_spec(spec, builder)
         except Exception as exc:
             return (
                 False,
@@ -388,7 +386,10 @@ class ClusterWorker:
         )
 
     def _executor_loop(self, slot: int) -> None:
+        from repro.sweep.registry import RunBuilder
+
         state: Dict[str, Any] = {"proc": None, "pipe": None}
+        builder = RunBuilder()  # runs on this thread (not isolated)
         try:
             while self._running:
                 # Block on the lease condvar: it wakes the instant a
@@ -445,7 +446,7 @@ class ClusterWorker:
                     )
                 else:
                     ok, payload, kind, snap = self._execute_inline(
-                        spec, timeout, width
+                        spec, builder
                     )
                 wall = time.monotonic() - start
                 with self._lock:

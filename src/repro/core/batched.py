@@ -2,22 +2,18 @@
 
 Adaptive replication (:mod:`repro.sweep.adaptive`) re-runs one *cell* —
 one parameter point — across derived seeds until its confidence interval
-converges.  Those replicates share everything except their RNG streams:
-the machine topology, the DAG structure (via the template cache), the
-kernel cost profiles and the scheduler configuration.
-:func:`execute_batch` builds that shared state once per batch and runs
-each replicate on it in turn:
+converges.  :func:`execute_batch` runs such replicates one after another
+in a single job, which buys two things:
 
-* one machine, one DAG template (each run instantiates a fresh graph
-  from it) and one kernel-profile memo for the whole batch;
-* per replicate: its own environment, speed model, scheduler and RNG
-  streams, so its metrics are bit-identical to a scalar run of the same
-  spec (property-tested);
-* lean records when the batch's metric demands are covered by
-  :data:`repro.sweep.registry.RECORD_FREE_METRICS` — the runtime then
-  skips per-task record keeping nothing downstream reads;
+* one dispatch (one pipe message or lease, one result) for N replicates;
 * per-replicate error isolation: a replicate that raises resolves to its
   own error payload and never aborts its batchmates.
+
+Each replicate is built by the worker's
+:class:`~repro.sweep.registry.RunBuilder`, the same one that builds its
+scalar runs, so batched and scalar replicates share the worker's machine
+and kernel-profile table alike and their metrics are bit-identical
+(property-tested).
 
 Cells that cannot batch — fault injection enabled, kernels the template
 cache cannot key (e.g. carrying live RNG state), non-``single``
@@ -31,8 +27,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.machine.speed import SpeedModel
-from repro.sim.environment import Environment
 from repro.sweep.spec import BATCH_KIND, RunSpec
 
 
@@ -62,18 +56,15 @@ def batch_ineligible_reason(spec: RunSpec) -> Optional[str]:
 
     * ``"executor:<kind>"`` — non-``single`` executors: the distributed
       and application runtimes wire their own environments;
-    * ``"traced"`` — a trace captures one concrete run's event stream
-      (worker timelines, steal arrows, per-task spans addressed to that
-      run's trace file); the batch builds its runtimes without tracers.
-      Metered-but-untraced runs carry no such per-event capture, so they
-      batch;
-    * ``"faults"`` — recovery mutates PTT rows (inf pins /
-      re-exploration resets) and worker liveness in ways the batch does
-      not model;
-    * ``"workload"`` / ``"kernel-unkeyable"`` — workloads whose DAG or
-      kernels the template cache cannot key (e.g. kernels carrying live
-      RNG state) — without a template the DAG cannot be shared, which
-      is the batch's reason to exist.
+    * ``"traced"`` — a traced run must skip the result cache so its
+      trace files are always written, and the engine caches every
+      batched replicate;
+    * ``"faults"``, ``"workload"`` / ``"kernel-unkeyable"`` — fault
+      injection, and workloads whose DAG or kernels the template cache
+      cannot key (e.g. kernels carrying live RNG state).  A batch builds
+      each replicate exactly as a scalar run, so these no longer guard
+      its results; they keep batching to the plain cells it was
+      measured on.
     """
     if spec.kind != "single":
         return f"executor:{spec.kind}"
@@ -191,79 +182,40 @@ def parse_batch_spec(spec: RunSpec) -> List[RunSpec]:
 # execution
 # ----------------------------------------------------------------------
 
-def execute_batch(specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
-    """Run N same-cell replicates in one batched pass.
+def execute_batch(
+    specs: Sequence[RunSpec], builder=None
+) -> List[Dict[str, Any]]:
+    """Run N same-cell replicates one after another in one job.
 
     Returns one payload per replicate, in order: ``{"ok": metrics}`` on
     success or ``{"err": {"type", "message"}}`` when that replicate's
     construction or execution raised (mirroring the scalar engine's
     deterministic-failure capture; one broken replicate never aborts its
-    batchmates).
-
-    Shared across the batch: the machine (static topology, built once),
-    the DAG template (each run instantiates a fresh graph from it) and
-    the kernel cost-profile cache.  Per replicate: environment,
-    speed-model dynamics, scheduler state, RNG streams — everything that
-    makes its metrics bit-identical to a scalar run of the same spec.
+    batchmates).  Each replicate is built by ``builder`` (the worker's
+    :class:`~repro.sweep.registry.RunBuilder`, else a fresh one) exactly
+    as a scalar run of its spec would be.
     """
-    from repro.core.policies.registry import make_scheduler
-    from repro.runtime.config import RuntimeConfig
-    from repro.runtime.executor import SimulatedRuntime
-    from repro.sweep.registry import (
-        RECORD_FREE_METRICS,
-        build_machine,
-        build_scenario,
-        build_workload,
-        extract_metrics,
-    )
+    from repro.sweep.registry import RunBuilder, _execute_single
     from repro.telemetry import get_registry
 
     if not specs:
         return []
-    base = specs[0]
-    base_key = batch_group_key(base)
+    base_key = batch_group_key(specs[0])
     for spec in specs[1:]:
         if batch_group_key(spec) != base_key:
             raise ConfigurationError(
                 "batch members must be replicates of one cell"
             )
-    if not can_batch(base):
+    if not can_batch(specs[0]):
         raise ConfigurationError(
             "cell is not batchable; use the scalar path"
         )
 
-    params = base.params
-    machine = build_machine(params["machine"])
-    # Kernel profiles are pure in (kernel, machine, place); the machine
-    # and the template's kernel objects are shared across the batch, so
-    # the memo carries over run to run.
-    shared_profiles: Dict[tuple, Any] = {}
+    builder = builder or RunBuilder()
     payloads: List[Dict[str, Any]] = []
     for spec in specs:
         try:
-            graph = build_workload(params["workload"])
-            policy = make_scheduler(
-                params["scheduler"], **(params.get("scheduler_kwargs") or {})
-            )
-            scenario = build_scenario(params.get("scenario"))
-            config = RuntimeConfig(**(params.get("config") or {}))
-            env = Environment()
-            speed = SpeedModel(env, machine)
-            if scenario is not None:
-                scenario.install(env, speed, machine)
-            runtime = SimulatedRuntime(
-                env, machine, graph, policy, config=config, speed=speed,
-                seed=spec.seed,
-            )
-            runtime._profile_cache = shared_profiles
-            if (
-                set(spec.metrics) <= RECORD_FREE_METRICS
-                and not runtime._tracing
-                and not runtime._faults_enabled
-                and not runtime.on_task_commit
-            ):
-                runtime.arm_lean_records()
-            metrics = extract_metrics(runtime.run(), spec.metrics)
+            metrics = _execute_single(spec, builder)
         except Exception as exc:
             payloads.append(
                 {"err": {"type": type(exc).__name__, "message": str(exc)}}
@@ -281,9 +233,9 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
     return payloads
 
 
-def run_batch_spec(spec: RunSpec) -> Dict[str, Any]:
+def run_batch_spec(spec: RunSpec, builder=None) -> Dict[str, Any]:
     """Executor body of the :data:`~repro.sweep.spec.BATCH_KIND` kind."""
-    return {"replicates": execute_batch(parse_batch_spec(spec))}
+    return {"replicates": execute_batch(parse_batch_spec(spec), builder)}
 
 
 __all__ = [

@@ -31,6 +31,8 @@ class Machine:
 
     The machine knows nothing about time: it is the static topology against
     which a :class:`~repro.machine.speed.SpeedModel` tracks dynamic state.
+    Nothing writes to it after construction (its numpy arrays are
+    read-only), so one instance can serve many runs.
 
     Parameters
     ----------
@@ -155,6 +157,9 @@ class Machine:
             [self._place_index[p] for p in self._width_one_places],
             dtype=np.intp,
         )
+        for array in (self._place_widths, self._width_one_slots,
+                      *self._slots_by_core):
+            array.setflags(write=False)
         # Python-scalar mirrors of the numpy search arrays: the placement
         # argmins iterate a dozen-odd places per call, where list indexing
         # and float arithmetic beat ndarray scalar access several-fold.

@@ -61,9 +61,9 @@ from repro.util.rng import SeedLike, make_rng, spawn_rngs
 #: Any other verdict is the stolen task itself.
 _SPIN_RECHECK = object()
 
-
-def _noop() -> None:
-    """Stand-in for collector counter methods in lean-records mode."""
+#: Most kernel cost profiles one profile table holds; a miss that finds
+#: it full empties it first (see ``SimulatedRuntime._profile_for``).
+PROFILE_TABLE_MAX = 4096
 
 
 @dataclass
@@ -111,6 +111,9 @@ class SimulatedRuntime:
         randomness or schedules events).  An enabled tracer is threaded
         into the policy's PTT store and the speed model, and receives
         worker-state, queue-depth, steal, decision and task events.
+    profiles:
+        A kernel cost-profile table to read and fill, shared by runs on
+        the same ``machine`` instance; a private one when omitted.
     """
 
     def __init__(
@@ -124,6 +127,7 @@ class SimulatedRuntime:
         seed: SeedLike = 0,
         name: str = "runtime",
         tracer: Optional[Tracer] = None,
+        profiles: Optional[Dict[tuple, WorkProfile]] = None,
     ) -> None:
         self.env = env
         self.machine = machine
@@ -202,7 +206,7 @@ class SimulatedRuntime:
         #: executor's lifetime, so profiles are computed once per distinct
         #: (kernel instance, place) pair.  Keying on the kernel object
         #: itself (identity hash) keeps it alive, so ids cannot be reused.
-        self._profile_cache: Dict[tuple, WorkProfile] = {}
+        self._profile_cache = {} if profiles is None else profiles
         self._shutdown = False
         self._started = False
         self._start_time = 0.0
@@ -286,13 +290,15 @@ class SimulatedRuntime:
             )
 
     def arm_lean_records(self) -> None:
-        """Skip all per-task record keeping for this run.
+        """Skip all per-task record keeping for this run, unless
+        something in the run reads it.
 
-        No TaskRecords, no collector steal/scan/busy accounting, no
-        ready-time bookkeeping — none of it feeds back into the
-        simulation, so the schedule is unchanged.  Only valid when the
-        run's metric demands never read the records (batched replicates
-        whose metrics are all in
+        No TaskRecords, no collector busy-time accounting, no ready-time
+        bookkeeping — none of it feeds back into the simulation, so the
+        schedule is unchanged; the steal and failed-scan counters stay.
+        A tracer, a fault injector or a commit observer reads the
+        records, so such runs keep them.  The caller vouches that its
+        metrics never read them (all in
         :data:`repro.sweep.registry.RECORD_FREE_METRICS`).  Must be
         called before :meth:`start`.
         """
@@ -300,7 +306,9 @@ class SimulatedRuntime:
             raise RuntimeStateError(
                 f"{self.name}: lean records must be armed before start()"
             )
-        self._lean_records = True
+        self._lean_records = not (
+            self._tracing or self._faults_enabled or self.on_task_commit
+        )
 
     def run(self) -> RunResult:
         """Drive the simulation until the graph finishes; returns the result.
@@ -468,12 +476,8 @@ class SimulatedRuntime:
         )
         steal_integers = self._steal_rngs[core].integers if inline_steal else None
         allow_steal = scheduler.allow_steal
-        if self._lean_records:
-            record_steal = _noop
-            record_failed_scan = _noop
-        else:
-            record_steal = self.collector.record_steal
-            record_failed_scan = self.collector.record_failed_scan
+        record_steal = self.collector.record_steal
+        record_failed_scan = self.collector.record_failed_scan
         # Spin-tick driver (inline-steal configurations only): the
         # steal-backoff wait is scheduled as a pooled callback event
         # instead of a generator sleep.  The tick callback replays the
@@ -876,7 +880,7 @@ class SimulatedRuntime:
             virtual.items(), key=lambda kv: (kv[1][0], kv[1][1])
         ):
             push[owner](t)
-        if scans and not self._lean_records:
+        if scans:
             self.collector.record_failed_scans(scans)
 
     # ------------------------------------------------------------------
@@ -888,6 +892,8 @@ class SimulatedRuntime:
         profile = self._profile_cache.get(key)
         if profile is None:
             profile = kernel.profile(self.machine, place)
+            if len(self._profile_cache) >= PROFILE_TABLE_MAX:
+                self._profile_cache.clear()
             self._profile_cache[key] = profile
         return profile
 

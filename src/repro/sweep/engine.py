@@ -63,7 +63,7 @@ from repro.sweep.adaptive import (
     scalar_accumulators,
 )
 from repro.sweep.cost import COST_MODEL_FILE, CostModel
-from repro.sweep.registry import execute_spec
+from repro.sweep.registry import RunBuilder, execute_spec
 from repro.sweep.spec import RunSpec, identity_key
 
 #: Default cache location; overridable per-runner or via the environment.
@@ -259,9 +259,12 @@ def _worker_main(conn) -> None:
     ``(HEARTBEAT_TAG, key, elapsed)`` progress pings over the same pipe
     (all sends share one lock).  Only ``Exception`` is caught —
     ``KeyboardInterrupt``/``SystemExit`` kill the process, which the
-    supervisor observes as a crash and retries.
+    supervisor observes as a crash and retries.  One
+    :class:`~repro.sweep.registry.RunBuilder` builds every run the
+    worker executes.
     """
     send_lock = threading.Lock()
+    builder = RunBuilder()
 
     def _send(message) -> None:
         with send_lock:
@@ -289,12 +292,12 @@ def _worker_main(conn) -> None:
                         _send, key,
                         float(telem.get("heartbeat_interval", 0.25)),
                     ):
-                        metrics = execute_spec(spec)
+                        metrics = execute_spec(spec, builder)
                 finally:
                     install(previous)
                     snap = registry.snapshot()
             else:
-                metrics = execute_spec(spec)
+                metrics = execute_spec(spec, builder)
         except Exception as exc:
             payload = (
                 key,
@@ -614,14 +617,28 @@ class SweepRunner:
         metrics = entry.get("metrics")
         return metrics if isinstance(metrics, dict) else None
 
-    def _cache_store(self, spec: RunSpec, key: str, metrics: Dict[str, Any]) -> None:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._cache_path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        entry = {"key": key, "identity": spec.identity(), "metrics": metrics}
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
+    def _store(self, spec: RunSpec, key: str, metrics: Dict[str, Any]) -> None:
+        """Commit one result to the cache and the checkpoint.
+
+        Both get the same text: the ``{"key", "identity", "metrics"}``
+        entry, encoded once.  The cache file is written to a temporary
+        name and renamed into place; the checkpoint gets it as one line.
+        Their directories are made by :meth:`_begin_sweep`.
+        """
+        if not self._checkpoint_active:  # neither store is on
+            return
+        text = json.dumps(
+            {"key": key, "identity": spec.identity(), "metrics": metrics},
+            sort_keys=True,
+        )
+        if self.use_cache:
+            path = self._cache_path(key)
+            tmp = path.with_suffix(f".tmp.{os.getpid()}")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        with open(self._checkpoint_path(), "a", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
     # -- checkpoint (crash-of-the-sweep-itself recovery) -----------------
     @property
@@ -690,17 +707,6 @@ class SweepRunner:
         self._resumed_stale += stale
         return entries
 
-    def _checkpoint_append(
-        self, spec: RunSpec, key: str, metrics: Dict[str, Any]
-    ) -> None:
-        if not self._checkpoint_active:
-            return
-        path = self._checkpoint_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": key, "identity": spec.identity(), "metrics": metrics}
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
     def _begin_sweep(self) -> None:
         """Reset per-sweep bookkeeping; start or load the checkpoint."""
         self._attempts = {}
@@ -726,6 +732,8 @@ class SweepRunner:
                 self._checkpoint_path().unlink()
             except OSError:
                 pass
+        if self._checkpoint_active:
+            self._checkpoint_path().parent.mkdir(parents=True, exist_ok=True)
 
     # -- execution ------------------------------------------------------
     def _log(self, message: str, kind: str = "info") -> None:
@@ -942,9 +950,7 @@ class SweepRunner:
         self.telemetry.done += 1
         self.cost_model.observe(job.spec, wall)
         if not _is_traced(job.spec):
-            if self.use_cache:
-                self._cache_store(job.spec, job.key, metrics)
-            self._checkpoint_append(job.spec, job.key, metrics)
+            self._store(job.spec, job.key, metrics)
 
     def _record_batch_success(
         self,
@@ -1011,9 +1017,7 @@ class SweepRunner:
             batch.batched_runs += 1
             self._m_runs_finished.inc()
             self._m_run_seconds.observe(marginal)
-            if self.use_cache:
-                self._cache_store(rep_spec, rep_key, rep_metrics)
-            self._checkpoint_append(rep_spec, rep_key, rep_metrics)
+            self._store(rep_spec, rep_key, rep_metrics)
 
     def _record_exception(
         self,
@@ -1084,6 +1088,7 @@ class SweepRunner:
             # subprocess (the pool's _worker_main), so the sweep gets
             # ``jobs`` CPUs rather than one shared interpreter lock, and
             # a per-run timeout can kill a run.
+            reconnect_timeout = 5.0
             for i in range(auto_workers):
                 self._cluster_workers.append(
                     start_worker_thread(
@@ -1091,9 +1096,12 @@ class SweepRunner:
                         name=f"local-{i}",
                         capacity=1,
                         isolate=True,
-                        reconnect_timeout=5.0,
+                        reconnect_timeout=reconnect_timeout,
                     )
                 )
+            # Registered before the first dispatch pass, which would
+            # otherwise find zero workers and report itself parked.
+            self._coordinator.await_workers(auto_workers, reconnect_timeout)
         self._log(
             f"cluster: coordinating at {self._coordinator.address}"
             + (f" with {auto_workers} local workers" if auto_workers else
@@ -1237,6 +1245,7 @@ class SweepRunner:
 
         tele = self.telemetry
         ident = tele.workers.inline()
+        builder = RunBuilder()
         previous = install(tele.registry) if tele.enabled else None
         try:
             queue = deque(pending)
@@ -1255,7 +1264,7 @@ class SweepRunner:
                 self._m_runs_started.inc()
                 start = time.perf_counter()
                 try:
-                    metrics = execute_spec(spec)
+                    metrics = execute_spec(spec, builder)
                 except Exception as exc:
                     tele.workers.finish(ident)
                     members = self._batch_members.pop(key, None)

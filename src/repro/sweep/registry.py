@@ -7,11 +7,19 @@ tables below: DAG factories (``WORKLOADS``), machine presets
 is the single entry point the sweep engine (and its worker processes)
 call: it dispatches on ``spec.kind`` and returns a JSON-serializable
 metrics dict.
+
+Runs are put together by a :class:`RunBuilder`.  Each worker loop owns
+one for its whole life and passes it to every :func:`execute_spec`
+call, so a machine preset is built once per worker and its kernel
+cost-profile table carries over from run to run; a run whose metrics
+are all in :data:`RECORD_FREE_METRICS` keeps no per-task records.  None
+of this changes a schedule: every run's metrics equal those of a run
+through a fresh builder, which is what ``execute_spec(spec)`` uses.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sweep.spec import RunSpec, place_to_data
@@ -176,11 +184,10 @@ def _fault_scalar(key: str, default: float = 0):
 
 
 #: Metrics computed from RunResult scalars alone — no per-task records,
-#: no collector accounting.  When a batched cell demands only these,
-#: repro.core.batched.execute_batch runs its replicates in lean-records
-#: mode (SimulatedRuntime.arm_lean_records: the runtime skips TaskRecord
-#: construction and collector bookkeeping entirely).  Extraction output
-#: is unaffected either way.
+#: no per-core busy time.  A run that demands only these runs in
+#: lean-records mode (SimulatedRuntime.arm_lean_records: the runtime
+#: skips TaskRecord construction and busy-time accounting).  Extraction
+#: output is unaffected either way.
 RECORD_FREE_METRICS = frozenset(
     {"makespan", "tasks_completed", "throughput"}
 )
@@ -262,14 +269,79 @@ def export_trace(tracer, params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# run construction
+# ----------------------------------------------------------------------
+
+class RunBuilder:
+    """Builds ``single`` runs, reusing what is pure in their inputs.
+
+    A builder keeps, per machine preset, one instance (built on first
+    use; nothing writes to a machine, and its arrays are read-only) and
+    that machine's kernel cost-profile table (``KernelModel.profile`` is
+    pure in kernel, machine and place; the table holds its kernels, and
+    :data:`repro.runtime.executor.PROFILE_TABLE_MAX` bounds it).  The
+    workload, scheduler, scenario, environment, speed model and RNG
+    streams are built fresh for every run.
+    """
+
+    def __init__(self) -> None:
+        self._machines: Dict[str, Tuple[Any, Dict[tuple, Any]]] = {}
+
+    def machine(self, name: str) -> Tuple[Any, Dict[tuple, Any]]:
+        """The shared instance of preset ``name`` and its profile table."""
+        entry = self._machines.get(name)
+        if entry is None:
+            entry = self._machines[name] = (build_machine(name), {})
+        return entry
+
+    def runtime(self, spec: RunSpec, tracer=None):
+        """A ready-to-run :class:`SimulatedRuntime` for a ``single`` spec.
+
+        It keeps no per-task records when ``spec``'s metrics are all in
+        :data:`RECORD_FREE_METRICS` and the runtime allows it (no
+        tracer, faults or commit observers).
+        """
+        from repro.core.policies.registry import make_scheduler
+        from repro.machine.speed import SpeedModel
+        from repro.runtime.config import RuntimeConfig
+        from repro.runtime.executor import SimulatedRuntime
+        from repro.sim.environment import Environment
+
+        p = spec.params
+        graph = build_workload(p["workload"])
+        machine, profiles = self.machine(p["machine"])
+        policy = make_scheduler(
+            p["scheduler"], **(p.get("scheduler_kwargs") or {})
+        )
+        scenario = build_scenario(p.get("scenario"))
+        config = RuntimeConfig(**(p.get("config") or {}))
+
+        env = Environment()
+        speed = SpeedModel(env, machine)
+        if scenario is not None:
+            scenario.install(env, speed, machine)
+        runtime = SimulatedRuntime(
+            env, machine, graph, policy, config=config, speed=speed,
+            seed=spec.seed, tracer=tracer, profiles=profiles,
+        )
+        if RECORD_FREE_METRICS.issuperset(spec.metrics):
+            runtime.arm_lean_records()
+        return runtime
+
+
+# ----------------------------------------------------------------------
 # executors
 # ----------------------------------------------------------------------
 
-EXECUTORS: Dict[str, Callable[[RunSpec], Dict[str, Any]]] = {}
+EXECUTORS: Dict[str, Callable[[RunSpec, RunBuilder], Dict[str, Any]]] = {}
 
 
 def executor(name: str):
-    """Class-of-run registration decorator for :data:`EXECUTORS`."""
+    """Class-of-run registration decorator for :data:`EXECUTORS`.
+
+    An executor is called with its spec and the calling worker's
+    :class:`RunBuilder`.
+    """
     def register(fn):
         EXECUTORS[name] = fn
         return fn
@@ -278,38 +350,17 @@ def executor(name: str):
 
 
 @executor("single")
-def _execute_single(spec: RunSpec) -> Dict[str, Any]:
+def _execute_single(spec: RunSpec, builder: RunBuilder) -> Dict[str, Any]:
     """The generic run: graph x machine x scheduler x scenario x config."""
-    from repro.core.policies.registry import make_scheduler
-    from repro.machine.speed import SpeedModel
-    from repro.runtime.config import RuntimeConfig
-    from repro.runtime.executor import SimulatedRuntime
-    from repro.sim.environment import Environment
-
-    p = spec.params
-    graph = build_workload(p["workload"])
-    machine = build_machine(p["machine"])
-    policy = make_scheduler(p["scheduler"], **(p.get("scheduler_kwargs") or {}))
-    scenario = build_scenario(p.get("scenario"))
-    config = RuntimeConfig(**(p.get("config") or {}))
-
-    env = Environment()
-    speed = SpeedModel(env, machine)
-    if scenario is not None:
-        scenario.install(env, speed, machine)
-    tracer = build_tracer(p)
-    runtime = SimulatedRuntime(
-        env, machine, graph, policy, config=config, speed=speed,
-        seed=spec.seed, tracer=tracer,
-    )
-    result = runtime.run()
+    tracer = build_tracer(spec.params)
+    result = builder.runtime(spec, tracer).run()
     metrics = extract_metrics(result, spec.metrics)
-    metrics.update(export_trace(tracer, p))
+    metrics.update(export_trace(tracer, spec.params))
     return metrics
 
 
 @executor("kmeans_window")
-def _execute_kmeans_window(spec: RunSpec) -> Dict[str, Any]:
+def _execute_kmeans_window(spec: RunSpec, builder) -> Dict[str, Any]:
     """Fig. 9's dynamic K-means with a windowed co-runner on socket 0."""
     from repro.apps.kmeans import KMeansConfig, build_kmeans_graph
     from repro.core.policies.registry import make_scheduler
@@ -321,7 +372,7 @@ def _execute_kmeans_window(spec: RunSpec) -> Dict[str, Any]:
 
     p = spec.params
     lo, hi = p["window"]
-    machine = build_machine(p.get("machine", "haswell16"))
+    machine, _ = builder.machine(p.get("machine", "haswell16"))
     socket0 = list(machine.cluster("socket0").core_ids)
     corunner = CorunnerInterference(
         cores=socket0, cpu_share=0.5, memory_demand=1.5, start=None
@@ -358,7 +409,7 @@ def _execute_kmeans_window(spec: RunSpec) -> Dict[str, Any]:
 
 
 @executor("heat_cluster")
-def _execute_heat_cluster(spec: RunSpec) -> Dict[str, Any]:
+def _execute_heat_cluster(spec: RunSpec, _builder) -> Dict[str, Any]:
     """Fig. 10's distributed 2D heat over a multi-node Haswell cluster."""
     from repro.apps.heat import HeatConfig, build_heat_graph_builder
     from repro.distributed.cluster_runtime import DistributedRuntime
@@ -398,16 +449,21 @@ def _execute_heat_cluster(spec: RunSpec) -> Dict[str, Any]:
 
 
 @executor("replicate_batch")
-def _execute_replicate_batch(spec: RunSpec) -> Dict[str, Any]:
-    """N same-cell replicates in one batched pass (see
-    :mod:`repro.core.batched`)."""
+def _execute_replicate_batch(spec: RunSpec, builder) -> Dict[str, Any]:
+    """N same-cell replicates in one job (see :mod:`repro.core.batched`)."""
     from repro.core.batched import run_batch_spec
 
-    return run_batch_spec(spec)
+    return run_batch_spec(spec, builder)
 
 
-def execute_spec(spec: RunSpec) -> Dict[str, Any]:
-    """Run one spec to completion and return its metrics dict."""
+def execute_spec(
+    spec: RunSpec, builder: Optional[RunBuilder] = None
+) -> Dict[str, Any]:
+    """Run one spec to completion and return its metrics dict.
+
+    ``builder`` is the calling worker's :class:`RunBuilder`; without one
+    the run is built from scratch.
+    """
     if spec.kind not in EXECUTORS:
         raise ConfigurationError(f"unknown spec kind {spec.kind!r}")
-    return EXECUTORS[spec.kind](spec)
+    return EXECUTORS[spec.kind](spec, builder or RunBuilder())

@@ -37,12 +37,12 @@ from repro.telemetry import Telemetry
 
 
 @executor("cluster_echo")
-def _echo(spec):
+def _echo(spec, _builder):
     return {"value": float(spec.params["value"])}
 
 
 @executor("cluster_mark")
-def _mark(spec):
+def _mark(spec, _builder):
     """Appends one line per execution — observable exactly-once evidence."""
     with open(spec.params["counter"], "a") as fh:
         fh.write(f"{spec.params['value']}\n")
@@ -50,13 +50,13 @@ def _mark(spec):
 
 
 @executor("cluster_sleep")
-def _sleep(spec):
+def _sleep(spec, _builder):
     time.sleep(spec.params.get("sleep", 0.2))
     return {"value": float(spec.params.get("value", 0))}
 
 
 @executor("cluster_crash")
-def _crash(spec):
+def _crash(spec, _builder):
     """Kills its worker subprocess; raises instead when run in-thread."""
     if multiprocessing.parent_process() is None:
         raise RuntimeError("cluster_crash runs only in a worker subprocess")
@@ -344,6 +344,22 @@ class TestCoordinator:
         with pytest.raises(comm.ClusterError):
             coord.execute([])
 
+    def test_await_workers_returns_once_all_registered(self):
+        coord = self._coordinator("t-await")
+        workers = [
+            start_worker_thread(coord.address, name=f"w{i}", capacity=1)
+            for i in range(2)
+        ]
+        try:
+            coord.await_workers(2, timeout=10.0)
+            assert coord.workers_live() == 2
+            with pytest.raises(comm.ClusterError, match="2 of 3 workers"):
+                coord.await_workers(3, timeout=0.05)
+        finally:
+            coord.close()
+            for w in workers:
+                w.stop()
+
 
 class TestClusterSweep:
     """SweepRunner integration: ``cluster="inproc"`` vs the local pool."""
@@ -429,6 +445,22 @@ class TestClusterSweep:
         assert stats.executed == 3 * self.POLICY.max_seeds
         assert len(started) == 2
         assert [proc.exitcode for proc in started] == [0, 0]
+
+    def test_auto_workers_register_before_the_first_dispatch(
+        self, tmp_path, capsys
+    ):
+        serial = self._serial(tmp_path)
+        tele = Telemetry(enabled=True)
+        runner = self._runner(
+            tmp_path, jobs=2, cluster="inproc", telemetry=tele, progress=True
+        )
+        try:
+            for _ in range(2):  # each call starts its own auto-workers
+                assert runner.run_adaptive(self._cells(), self.POLICY) == serial
+        finally:
+            runner.close()
+        assert _metric(tele, "cluster_parked_total") == 0
+        assert "parked" not in capsys.readouterr().err
 
     def test_no_auto_worker_outlives_a_failed_sweep(
         self, tmp_path, monkeypatch, process_starts
@@ -692,5 +724,5 @@ class TestSettingsValidation:
 
 
 @executor("chaos_raise_cluster")
-def _raise_cluster(spec):
+def _raise_cluster(spec, _builder):
     raise ValueError(f"bad parameter {spec.params['value']}")

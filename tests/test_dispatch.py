@@ -41,7 +41,7 @@ _EXECUTED = []
 
 
 @executor("dispatch_echo")
-def _echo(spec):
+def _echo(spec, _builder):
     _EXECUTED.append(spec.seed)
     return {"value": float(spec.params["value"])}
 

@@ -83,6 +83,21 @@ class TestSweepRunner:
         assert entry["key"] == spec.key()
         assert entry["identity"]["params"] == spec.params
 
+    def test_cache_file_and_checkpoint_line_hold_one_text(self, tmp_path):
+        spec = _fig4_slice()[0]
+        runner = SweepRunner(
+            jobs=1, cache_dir=tmp_path, progress=False, label="one-text"
+        )
+        (metrics,) = runner.run([spec])
+        text = json.dumps(
+            {"key": spec.key(), "identity": spec.identity(),
+             "metrics": metrics},
+            sort_keys=True,
+        )
+        assert (tmp_path / f"{spec.key()}.json").read_text() == text
+        checkpoint = tmp_path / "checkpoints" / "one-text.jsonl"
+        assert checkpoint.read_text() == text + "\n"
+
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
         spec = _fig4_slice()[0]
         runner = SweepRunner(jobs=1, cache_dir=tmp_path, progress=False)

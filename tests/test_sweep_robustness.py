@@ -31,7 +31,7 @@ from repro.sweep.registry import executor
 
 
 @executor("chaos_crash_once")
-def _crash_once(spec):
+def _crash_once(spec, _builder):
     """Dies hard on the first attempt, succeeds on retry."""
     flag = spec.params["flag"]
     if not os.path.exists(flag):
@@ -42,23 +42,23 @@ def _crash_once(spec):
 
 
 @executor("chaos_crash_always")
-def _crash_always(spec):
+def _crash_always(spec, _builder):
     os._exit(1)
 
 
 @executor("chaos_hang")
-def _hang(spec):
+def _hang(spec, _builder):
     time.sleep(spec.params.get("sleep", 60.0))
     return {"value": 0.0}
 
 
 @executor("chaos_raise")
-def _raise(spec):
+def _raise(spec, _builder):
     raise ValueError(f"bad parameter {spec.params['value']}")
 
 
 @executor("chaos_count")
-def _count(spec):
+def _count(spec, _builder):
     """Appends one line per execution — observable exactly-once evidence."""
     with open(spec.params["counter"], "a") as fh:
         fh.write("x\n")

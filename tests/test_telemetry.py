@@ -68,7 +68,7 @@ KERNELS = [
 
 
 @executor("telem_sim")
-def _telem_sim(spec):
+def _telem_sim(spec, _builder):
     """A tiny real simulation run — deterministic for a given spec."""
     result = quick_run(
         scheduler=spec.params["scheduler"],
