@@ -5,8 +5,9 @@ Covers the lease spec wire form (:func:`repro.cluster.protocol.spec_to_wire`
 round-trip and fuzz properties, the worker's lease-key check, RunSpec key
 memoization, batched leasing + spec-aware placement in the cluster
 coordinator, the framed TCP protocol's malformed-input behavior (typed
-error, never a hang), and pool / cluster-inproc bit-identity against
-serial through the real sweep engine.
+error, never a hang), and the bit-identity of every dispatch path
+(``jobs=2``, a run timeout, inproc and TCP clusters) against serial
+through the real sweep engine.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.cluster.coordinator import (
     _Remote,
 )
 from repro.cluster.worker import start_worker_thread
-from repro.sweep import RunSpec, SweepRunner
+from repro.sweep import AdaptivePolicy, RunSpec, SweepRunner, is_error_result
 from repro.sweep.registry import executor
 from repro.telemetry import Telemetry
 
@@ -421,22 +422,84 @@ class TestDecodeFailureRetry:
 
 
 # -- engine bit-identity: every dispatch path against serial ----------
+#: The dispatch paths, as SweepRunner keyword sets; each must give the
+#: serial (jobs=1, no timeout) rows and checkpoint lines.
+_PATHS = {
+    "jobs2": {"jobs": 2},
+    "timeout": {"jobs": 1, "timeout": 30.0},
+    "cluster-inproc": {"jobs": 2, "cluster": "inproc"},
+    "cluster-tcp": {"jobs": 2, "cluster": "tcp://127.0.0.1:0"},
+}
+
+
 class TestEngineBitIdentity:
-    def _run(self, **kw):
-        runner = SweepRunner(use_cache=False, progress=False, **kw)
-        specs = [_spec(v, pad="y" * 40) for v in range(10)]
+    """One adaptive sweep of real ``single`` cells through each path.
+
+    The cells cover batched replicates, a fault-injected cell (never
+    batched) and a cell whose executor raises (an error result, never
+    checkpointed).
+    """
+
+    POLICY = AdaptivePolicy(ci=0.0, min_seeds=2, max_seeds=3)
+
+    @staticmethod
+    def _cells():
+        def cell(scheduler, **extra):
+            return RunSpec(
+                kind="single",
+                params={
+                    "workload": {"name": "layered", "kernel": "copy",
+                                 "parallelism": 2, "total": 16},
+                    "machine": "jetson_tx2",
+                    "scheduler": scheduler,
+                    **extra,
+                },
+                seed=1,
+                metrics=("throughput", "tasks_completed"),
+            )
+
+        return [
+            cell("rws"),
+            cell("dam-c"),
+            cell("fam-c"),
+            cell("dam-c", scenario={"name": "faults", "mtbf": 5.0,
+                                    "mttr": 1.0, "cores": [0]}),
+            cell("no-such-scheduler"),  # its executor raises
+        ]
+
+    def _sweep(self, tmp_path, name, **kw):
+        """Rows and checkpoint lines of one sweep through ``kw``'s path."""
+        cache = tmp_path / name
+        runner = SweepRunner(
+            use_cache=True, progress=False, label="identity",
+            cache_dir=cache, **kw,
+        )
+        workers = []
+        if str(kw.get("cluster", "")).startswith("tcp://"):
+            # External thread workers, as bench_dispatch.py's tcp mode.
+            coord = runner._ensure_coordinator()
+            workers = [
+                start_worker_thread(
+                    coord.address, name=f"identity-{i}", capacity=1,
+                    reconnect_timeout=10.0,
+                )
+                for i in range(2)
+            ]
         try:
-            return runner.run(specs)
+            rows = runner.run_adaptive(self._cells(), self.POLICY)
         finally:
             runner.close()
+            for worker in workers:
+                worker.stop()
+        checkpoint = cache / "checkpoints" / "identity.jsonl"
+        return rows, set(checkpoint.read_text().splitlines())
 
-    def test_pool_bit_identical_to_serial(self):
-        pool = self._run(jobs=2)
-        serial = self._run(jobs=1)
-        assert pool == serial
-        assert [row["value"] for row in pool] == [float(v) for v in range(10)]
-
-    def test_cluster_inproc_bit_identical_to_serial(self):
-        cluster = self._run(jobs=2, cluster="inproc")
-        serial = self._run(jobs=1)
-        assert cluster == serial
+    @pytest.mark.parametrize("path", sorted(_PATHS))
+    def test_bit_identical_to_serial(self, tmp_path, path):
+        rows, lines = self._sweep(tmp_path, path, **_PATHS[path])
+        want_rows, want_lines = self._sweep(tmp_path, "serial", jobs=1)
+        assert rows == want_rows
+        # Completion order differs between paths, so compare line sets.
+        assert lines == want_lines
+        assert is_error_result(rows[-1]) and not is_error_result(rows[0])
+        assert len(want_lines) == 4 * self.POLICY.max_seeds
