@@ -198,7 +198,7 @@ def run_chaos_proof(
     #    A fresh cache directory so every cell misses and the checkpoint
     #    records exactly the commits this run made.
     cache_dir = tempfile.mkdtemp(prefix="repro-chaos-")
-    tele = Telemetry(enabled=True)
+    tele = Telemetry(enabled=True, heartbeat_interval=HEARTBEAT_INTERVAL)
     address = f"inproc://chaos-proof-{seed}"
     plan = make_plan(seed=seed, workers=workers, stretch=stretch)
     runner = SweepRunner(

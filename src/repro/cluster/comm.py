@@ -24,6 +24,11 @@ Both transports deliver messages in FIFO order per connection and fail
 on the next ``send``/``recv`` (after any already-delivered messages
 drain), never as a silent hang.  The coordinator's liveness logic (see
 ``docs/cluster.md``) is built on exactly that contract.
+
+Each connection and listener has a ``wakeup`` slot: a
+:class:`threading.Event` set whenever a message, a close or a new
+connection arrives.  A loop that serves many connections points them all
+at one event and blocks on it instead of polling them.
 """
 
 from __future__ import annotations
@@ -91,6 +96,16 @@ class Connection:
         self._inbox: "queue.Queue[Any]" = queue.Queue()
         self._closed = threading.Event()
         self._drained = False
+        #: Set on every arrival (see the module docs).
+        self.wakeup: Optional[threading.Event] = None
+
+    def _deliver(self, item: Any) -> None:
+        """Queue an inbound message (or end-of-stream) and wake the
+        reader."""
+        self._inbox.put(item)
+        wakeup = self.wakeup
+        if wakeup is not None:
+            wakeup.set()
 
     @property
     def closed(self) -> bool:
@@ -148,17 +163,17 @@ class InprocConnection(Connection):
             raise ConnectionClosed("connection closed")
         # Round-trip through JSON so both transports carry exactly the
         # same value space (no smuggled objects, tuples become lists).
-        peer._inbox.put(json.loads(json.dumps(message)))
+        peer._deliver(json.loads(json.dumps(message)))
 
     def close(self) -> None:
         if self._closed.is_set():
             return
         self._closed.set()
-        self._inbox.put(_EOF)
+        self._deliver(_EOF)
         peer = self.peer
         if peer is not None and not peer._closed.is_set():
             peer._closed.set()
-            peer._inbox.put(_EOF)
+            peer._deliver(_EOF)
 
 
 def _inproc_pair() -> Tuple[InprocConnection, InprocConnection]:
@@ -167,14 +182,20 @@ def _inproc_pair() -> Tuple[InprocConnection, InprocConnection]:
     return a, b
 
 
-class InprocListener:
-    """Accept side of the queue transport, registered by name."""
+class _Listener:
+    """Accept queue shared by both transports."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.address = f"inproc://{name}"
-        self._accept_q: "queue.Queue[InprocConnection]" = queue.Queue()
+    def __init__(self) -> None:
+        self._accept_q: "queue.Queue[Connection]" = queue.Queue()
         self._closed = False
+        #: Set on every inbound connection (see the module docs).
+        self.wakeup: Optional[threading.Event] = None
+
+    def _offer(self, conn: Connection) -> None:
+        self._accept_q.put(conn)
+        wakeup = self.wakeup
+        if wakeup is not None:
+            wakeup.set()
 
     def accept(self, timeout: Optional[float] = None) -> Optional[Connection]:
         """Next inbound connection; ``None`` on timeout."""
@@ -186,6 +207,15 @@ class InprocListener:
             return self._accept_q.get(timeout=timeout)
         except queue.Empty:
             return None
+
+
+class InprocListener(_Listener):
+    """Accept side of the queue transport, registered by name."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+        self.address = f"inproc://{name}"
 
     def close(self) -> None:
         with _INPROC_LOCK:
@@ -209,7 +239,7 @@ def _inproc_connect(name: str) -> Connection:
     if listener is None or listener._closed:
         raise ClusterUnavailable(f"no listener at inproc://{name}")
     ours, theirs = _inproc_pair()
-    listener._accept_q.put(theirs)
+    listener._offer(theirs)
     return ours
 
 
@@ -272,11 +302,11 @@ class TcpConnection(Connection):
                 if length > MAX_FRAME_BYTES:
                     break  # corrupt stream; drop the connection
                 payload = await self._reader.readexactly(length)
-                self._inbox.put(json.loads(payload.decode("utf-8")))
+                self._deliver(json.loads(payload.decode("utf-8")))
         except Exception:
             pass  # EOF, reset, or garbage: all become ConnectionClosed
         self._closed.set()
-        self._inbox.put(_EOF)
+        self._deliver(_EOF)
         try:
             self._writer.close()
         except Exception:
@@ -300,7 +330,7 @@ class TcpConnection(Connection):
         if self._closed.is_set():
             return
         self._closed.set()
-        self._inbox.put(_EOF)
+        self._deliver(_EOF)
 
         def _shutdown() -> None:
             try:
@@ -311,18 +341,17 @@ class TcpConnection(Connection):
         self._io.loop.call_soon_threadsafe(_shutdown)
 
 
-class TcpListener:
+class TcpListener(_Listener):
     """Accept side of the TCP transport."""
 
     def __init__(self, host: str, port: int) -> None:
         import asyncio
 
+        super().__init__()
         self._io = _AsyncLoop.get()
-        self._accept_q: "queue.Queue[TcpConnection]" = queue.Queue()
-        self._closed = False
 
         def _on_client(reader, writer) -> None:
-            self._accept_q.put(TcpConnection(self._io, reader, writer))
+            self._offer(TcpConnection(self._io, reader, writer))
 
         try:
             self._server = self._io.run(
@@ -334,16 +363,6 @@ class TcpListener:
             ) from exc
         bound = self._server.sockets[0].getsockname()
         self.address = f"tcp://{bound[0]}:{bound[1]}"
-
-    def accept(self, timeout: Optional[float] = None) -> Optional[Connection]:
-        if self._closed:
-            raise ConnectionClosed(f"listener {self.address} closed")
-        try:
-            if timeout is not None and timeout <= 0:
-                return self._accept_q.get_nowait()
-            return self._accept_q.get(timeout=timeout)
-        except queue.Empty:
-            return None
 
     def close(self) -> None:
         if self._closed:

@@ -33,6 +33,13 @@ Stragglers keep PR 7's contract: a slow-but-heartbeating run is flagged
 lease deadline (the distributed analog of the per-run timeout) or
 worker death takes work away.  See ``docs/cluster.md``.
 
+The coordinator feeds the telemetry hub's
+:class:`~repro.telemetry.heartbeat.WorkerTable`: one row per executor
+slot of each registered worker, busy while a lease runs there, with the
+run's heartbeats.  The table's straggler check is the only one.  The
+dispatch loop blocks on one wake-up event that every connection and the
+listener set on arrival, so an idle coordinator costs nothing.
+
 The **dispatch fast lane** layers two throughput optimisations over
 that machinery without touching any of its invariants:
 
@@ -50,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,7 +67,6 @@ from repro.cluster import comm, protocol
 from repro.errors import ConfigurationError
 from repro.sweep.spec import RunSpec
 from repro.telemetry import Telemetry
-from repro.telemetry.heartbeat import straggler_after
 
 #: How many leases a worker may hold per capacity slot (the extra is
 #: the prefetch backlog that work stealing later raids).
@@ -113,6 +120,11 @@ class ExecuteReport:
     suppressed: int = 0
     steals: int = 0
     peak_workers: int = 0
+    #: Leases that started, heartbeat messages received and runs
+    #: flagged as stragglers.
+    started: int = 0
+    heartbeats: int = 0
+    stragglers: int = 0
 
 
 @dataclass
@@ -136,10 +148,8 @@ class _Lease:
     granted: float
     started_at: Optional[float] = None
     deadline: Optional[float] = None
-    #: Seconds after ``started_at`` past which the run is flagged a
-    #: straggler (``None``: no yardstick); fixed when the lease starts.
-    straggle_after: Optional[float] = None
-    straggler: bool = False
+    #: The WorkerTable row showing this lease while it runs.
+    row: Optional[int] = None
     #: A steal revocation is in flight; the lease is requeued only when
     #: the worker confirms it never started the run (MSG_REVOKED).
     revoking: bool = False
@@ -168,6 +178,10 @@ class _Remote:
     #: Observed per-replicate wall EWMA — the completion-rate fallback
     #: signal when the cost model has no expectation yet.
     wall_ewma: Optional[float] = None
+    #: WorkerTable rows of this worker's slots, and those not running
+    #: a lease.
+    rows: List[int] = field(default_factory=list)
+    idle_rows: List[int] = field(default_factory=list)
 
     def unstarted(self) -> List[_Lease]:
         return [l for l in self.leases.values() if not l.started]
@@ -187,12 +201,13 @@ class ClusterCoordinator:
     max_attempts / retry_backoff:
         Per-cell retry budget and backoff base for *infrastructure*
         failures (worker death, lease expiry, remote crash/timeout),
-        matching the local supervised pool's contract.  Attempt ``n``
+        the sweep engine's retry contract.  Attempt ``n``
         backs off ``retry_backoff * 2**(n-1)`` seconds plus seeded
         jitter.
     run_timeout:
         Per-run wall-clock budget shipped to workers with each lease
-        (pool-mode workers kill and report ``timeout``).
+        (isolating workers kill and report ``timeout``).  Also the
+        straggler yardstick when set.
     lease_timeout:
         Seconds (per replicate of width) after a lease *starts* before
         the coordinator expires and reclaims it.  Defaults to
@@ -201,6 +216,8 @@ class ClusterCoordinator:
     liveness_timeout:
         Worker-silence budget; ``None`` derives a generous default from
         the heartbeat interval (silence must not kill *early*).
+    heartbeat_interval:
+        Sent to every worker in its welcome; workers heartbeat at it.
     drain_timeout:
         After the last cell resolves, how long to keep listening for
         in-flight duplicate results from reclaimed-but-alive leases so
@@ -242,6 +259,10 @@ class ClusterCoordinator:
             raise ConfigurationError(f"prefetch must be >= 1, got {prefetch}")
         self.listener = comm.listen(address)
         self.address = self.listener.address
+        #: Set by every connection and the listener on arrival; the
+        #: dispatch loop blocks on it when a pass found nothing to do.
+        self._wakeup = threading.Event()
+        self.listener.wakeup = self._wakeup
         self.telemetry = telemetry or Telemetry(enabled=False)
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
@@ -249,6 +270,11 @@ class ClusterCoordinator:
         if lease_timeout is None and run_timeout is not None:
             lease_timeout = LEASE_TIMEOUT_FACTOR * run_timeout
         self.lease_timeout = lease_timeout
+        #: A run is a straggler past half this (or 3x its expected
+        #: wall); see :func:`~repro.telemetry.heartbeat.straggler_after`.
+        self._straggler_timeout = (
+            run_timeout if run_timeout is not None else lease_timeout
+        )
         self.heartbeat_interval = heartbeat_interval
         if liveness_timeout is None:
             liveness_timeout = max(
@@ -281,6 +307,8 @@ class ClusterCoordinator:
         #: Reclaimed-but-maybe-still-running leases by id (the owner is
         #: alive; its result may still arrive).
         self._zombies: Dict[str, _Lease] = {}
+        #: Earliest backoff expiry the dispatch loop must wake for.
+        self._wake_at = float("inf")
         self._closed = False
 
         reg = self.telemetry.registry
@@ -368,6 +396,20 @@ class ClusterCoordinator:
             }
         )
 
+    def _add_worker(self, worker: _Remote) -> None:
+        """Enter a (re)joined worker, with one WorkerTable row per slot."""
+        table = self.telemetry.workers
+        worker.rows = [table.spawn(worker.pid) for _ in range(worker.capacity)]
+        worker.idle_rows = list(worker.rows)
+        self._workers[worker.name] = worker
+        self._lost_conns.pop(worker.name, None)
+        self._m_joined.inc()
+        self._m_live.set(len(self._workers))
+
+    def _retire_rows(self, worker: _Remote) -> None:
+        for ident in worker.rows:
+            self.telemetry.workers.retire(ident)
+
     def _register(
         self, conn: comm.Connection, message: Dict[str, Any], now: float
     ) -> None:
@@ -381,7 +423,7 @@ class ClusterCoordinator:
             self._reclaim_worker(
                 old, reason="connection replaced", keep_zombies=True
             )
-        self._lost_conns.pop(name, None)
+            self._retire_rows(old)
         worker = _Remote(
             name=name,
             conn=conn,
@@ -390,9 +432,7 @@ class ClusterCoordinator:
             mode=str(message.get("mode", "inline")),
             last_seen=now,
         )
-        self._workers[name] = worker
-        self._m_joined.inc()
-        self._m_live.set(len(self._workers))
+        self._add_worker(worker)
         self._welcome(worker)
         self._log(
             f"cluster: worker {name} joined "
@@ -405,10 +445,7 @@ class ClusterCoordinator:
         """A lost worker spoke again without re-registering: rejoin it
         with zero leases (everything it held was already reclaimed)."""
         worker = _Remote(name=name, conn=conn, last_seen=now)
-        self._workers[name] = worker
-        self._lost_conns.pop(name, None)
-        self._m_joined.inc()
-        self._m_live.set(len(self._workers))
+        self._add_worker(worker)
         self._log(f"cluster: worker {name} resumed after silence")
         return worker
 
@@ -453,6 +490,7 @@ class ClusterCoordinator:
         # worker that wakes up will speak again and be revived.
         still_open = not worker.conn.closed
         self._reclaim_worker(worker, reason=reason, keep_zombies=still_open)
+        self._retire_rows(worker)
         if still_open:
             self._lost_conns[worker.name] = worker.conn
 
@@ -469,10 +507,16 @@ class ClusterCoordinator:
 
     def _lease_removed(self, worker: Optional[_Remote], lease: _Lease) -> None:
         """Undo :meth:`_lease_added` after a lease left a worker table
-        (result, expiry, revoke, reclaim) — call *after* the removal."""
+        (result, expiry, revoke, reclaim) — call *after* the removal.
+        A started lease frees its WorkerTable row."""
         self._held_count -= 1
         if worker is not None and not worker.leases:
             self._leased.discard(worker.name)
+        if lease.row is not None:
+            self.telemetry.workers.finish(lease.row)
+            if worker is not None:
+                worker.idle_rows.append(lease.row)
+            lease.row = None
         key = lease.cell.key
         remaining = self._inflight.get(key, 0) - 1
         if remaining > 0:
@@ -555,6 +599,7 @@ class ClusterCoordinator:
         delay = self.retry_backoff * (2 ** (cell.attempts - 1))
         delay *= 1.0 + 0.25 * self._rng.random()  # seeded jitter
         cell.not_before = time.monotonic() + delay
+        self._wake_at = min(self._wake_at, cell.not_before)
         self._queue.append(cell)
         self._log(
             f"cluster: run {cell.key[:12]}: {kind} on attempt "
@@ -724,24 +769,15 @@ class ClusterCoordinator:
         worker.last_seen = now
         if mtype == protocol.MSG_HEARTBEAT:
             self._m_heartbeats.inc()
+            self._report.heartbeats += 1
+            for lease_id in message.get("busy") or ():
+                lease = worker.leases.get(lease_id)
+                if lease is not None and lease.row is not None:
+                    self.telemetry.workers.heartbeat(lease.row, now)
         elif mtype == protocol.MSG_STARTED:
             lease = worker.leases.get(message.get("lease"))
             if lease is not None and not lease.started:
-                lease.started_at = now
-                # The worker won any in-flight steal race: a started
-                # lease is never handed back.
-                lease.revoking = False
-                width = max(lease.cell.width, 1)
-                if self.lease_timeout is not None:
-                    lease.deadline = now + self.lease_timeout * width
-                expected = (
-                    self.cost_model.predict(lease.cell.spec)
-                    if self.cost_model is not None
-                    else None
-                )
-                limit = straggler_after(expected, self.lease_timeout)
-                if limit is not None:
-                    lease.straggle_after = limit * width
+                self._start(worker, lease, now)
         elif mtype == protocol.MSG_RESULT:
             self._handle_result(worker, message)
         elif mtype == protocol.MSG_REVOKED:
@@ -766,6 +802,36 @@ class ClusterCoordinator:
             self._lose_worker(worker, reason="goodbye")
         return worker
 
+    def _start(self, worker: _Remote, lease: _Lease, now: float) -> None:
+        """A lease's run began: arm its deadline and show it in a row."""
+        lease.started_at = now
+        # The worker won any in-flight steal race: a started lease is
+        # never handed back.
+        lease.revoking = False
+        cell = lease.cell
+        if self.lease_timeout is not None:
+            lease.deadline = now + self.lease_timeout * max(cell.width, 1)
+        self._report.started += 1
+        table = self.telemetry.workers
+        if worker.idle_rows:
+            lease.row = worker.idle_rows.pop()
+        else:  # more runs than the slots it registered with
+            lease.row = table.spawn(worker.pid)
+            worker.rows.append(lease.row)
+        table.assign(
+            lease.row,
+            cell.key,
+            self.telemetry.label,
+            attempt=cell.attempts + 1,
+            width=cell.width,
+            now=now,
+            expected=(
+                self.cost_model.predict(cell.spec)
+                if self.cost_model is not None
+                else None
+            ),
+        )
+
     def _accept(self, now: float) -> bool:
         """Accept joins and read the register frames of unregistered
         connections; True if anything happened."""
@@ -777,6 +843,7 @@ class ClusterCoordinator:
                 break
             if conn is None:
                 break
+            conn.wakeup = self._wakeup
             self._pending_conns.append(conn)
             activity = True
         # Unregistered connections: wait for their register frame.
@@ -807,12 +874,14 @@ class ClusterCoordinator:
         """
         deadline = time.monotonic() + timeout
         while len(self._workers) < count:
-            if time.monotonic() >= deadline:
+            left = deadline - time.monotonic()
+            if left <= 0:
                 raise comm.ClusterError(
                     f"{len(self._workers)} of {count} workers registered"
                 )
+            self._wakeup.clear()
             if not self._accept(time.monotonic()):
-                time.sleep(0.001)
+                self._wakeup.wait(left)
 
     def _pump(self, now: float) -> bool:
         """Accept joins and drain every connection; True if anything
@@ -908,25 +977,21 @@ class ClusterCoordinator:
         self._update_held()
 
     def _check_stragglers(self, now: float) -> None:
-        # Same leased-index walk as `_check_expiry`: lease-free workers
-        # cannot straggle.
-        for name in self._leased:
-            worker = self._workers.get(name)
-            if worker is None:
-                continue
-            for lease in worker.leases.values():
-                if lease.straggle_after is None or lease.straggler:
-                    continue
-                elapsed = now - lease.started_at
-                if elapsed > lease.straggle_after:
-                    lease.straggler = True
-                    self._m_stragglers.inc()
-                    self._log(
-                        f"cluster: worker {worker.name} straggling on "
-                        f"run {lease.cell.key[:12]}: {elapsed:.1f}s "
-                        "elapsed; letting it finish",
-                        kind="straggler",
-                    )
+        """Flag runs past their expected envelope; never acts on them."""
+        table = self.telemetry.workers
+        for view in table.check_stragglers(now, self._straggler_timeout):
+            self._m_stragglers.inc()
+            self._report.stragglers += 1
+            expected = (
+                f" (expected ~{view.expected:.1f}s)" if view.expected else ""
+            )
+            self._log(
+                f"cluster: worker {view.ident} (pid {view.pid}) straggling "
+                f"on run {(view.key or '')[:12]}: "
+                f"{view.elapsed(now):.1f}s elapsed{expected}; "
+                "letting it finish",
+                kind="straggler",
+            )
 
     def _grant(self, now: float) -> None:
         """Hand queued cells to workers, fastest host first.
@@ -1106,6 +1171,9 @@ class ClusterCoordinator:
         parked_since: Optional[float] = None
         last_park_log = 0.0
         while self._unresolved:
+            # Cleared before the connections are drained, so anything
+            # that arrives from here on wakes the wait below.
+            self._wakeup.clear()
             now = time.monotonic()
             activity = self._pump(now)
             self._check_liveness(now)
@@ -1143,10 +1211,7 @@ class ClusterCoordinator:
                 )
                 parked_since = None
             if not activity:
-                # While leases are outstanding, results can land any
-                # millisecond — a 10ms nap would dominate tiny cells'
-                # round-trip time.
-                time.sleep(0.001 if self._held_count else 0.01)
+                self._wakeup.wait(self._nap(now))
         # Linger briefly for duplicate results from reclaimed-but-alive
         # leases so they are observed (and suppressed) rather than left
         # to hit a closed socket.
@@ -1158,12 +1223,22 @@ class ClusterCoordinator:
         self._on_resolved = None
         return self._report
 
+    def _nap(self, now: float) -> float:
+        """How long an idle pass may block before the next one: until
+        the earliest backoff expiry, and at most 50 ms while work is
+        out (lease expiry and straggler checks) or 250 ms otherwise."""
+        nap = 0.05 if (self._held_count or self._queue) else 0.25
+        if self._wake_at <= now:
+            self._wake_at = float("inf")
+        return min(nap, self._wake_at - now)
+
     def close(self) -> None:
         """Shut down: tell every worker to exit and release the listener."""
         if self._closed:
             return
         self._closed = True
         for worker in self._workers.values():
+            self._retire_rows(worker)
             try:
                 worker.conn.send({"type": protocol.MSG_SHUTDOWN})
             except comm.ClusterError:

@@ -3,36 +3,40 @@
 ``python -m repro.cluster.worker --connect tcp://host:port`` joins a
 coordinator (:mod:`repro.cluster.coordinator`) and executes the
 :class:`~repro.sweep.spec.RunSpec`\\ s it is leased.  The same class
-runs on a thread of the sweep's own process for ``--cluster inproc``
-auto-workers, the chaos harness and tests.
+runs on a thread of the sweep's own process for the sweep engine's
+auto-workers (every ``--jobs N`` sweep and ``--cluster inproc``), the
+chaos harness and tests.
 
 Two execution modes:
 
-* ``isolate=True`` (the CLI default, and every ``--cluster inproc``
-  auto-worker): each executor thread wraps one long-lived subprocess
-  running the supervised-pool worker loop
-  (:func:`repro.sweep.engine._worker_main`), so leases run on their own
-  CPUs and get exactly the single-host pool's crash/timeout
-  containment — a subprocess that dies or blows the per-run budget is
-  reported as a ``crash``/``timeout`` result and respawned, and the
-  coordinator's retry budget takes it from there.  Stopping the worker
-  ends each subprocess gracefully: ``None`` on its pipe, a bounded
-  join, and ``terminate`` only if it is still alive (or was stopped
-  mid-run).
+* ``isolate=True`` (the CLI default, and every auto-worker): each
+  executor thread drives one long-lived subprocess running
+  :func:`_worker_main`, so leases run on their own CPUs with crash and
+  timeout containment — a subprocess that dies or blows the per-run
+  budget is reported as a ``crash``/``timeout`` result and respawned,
+  and the coordinator's retry budget takes it from there.  Stopping the
+  worker ends each idle subprocess gracefully (``None`` on its pipe, a
+  bounded join) and terminates one still running a lease, whose result
+  nobody would take.
 * ``isolate=False`` (the class default; ``--no-isolate``): leases
   execute via :func:`~repro.sweep.registry.execute_spec` on executor
   threads inside this process — no subprocess to start, with crash
   isolation delegated to the coordinator's lease machinery.  The chaos
   harness and the coordinator tests use it.
 
-The main loop is never blocked by execution: it pumps the connection,
-flushes the outbox, and heartbeats on ``heartbeat_interval`` — so a
-slow run keeps heartbeating (straggler, never killed) while a paused or
-GIL-bound worker goes silent (the coordinator's liveness call).  On a
-lost connection the worker reconnects with backoff and **re-registers**,
-then flushes any results buffered while disconnected — that is how it
-survives both partitions and a coordinator restart; the coordinator
-resolves replayed results by cache key, so nothing double-commits.
+Executor threads send their ``started`` and ``result`` messages
+straight over the connection (a worker under chaos queues them for the
+main loop instead).  The main loop blocks on one wake-up event, set by
+inbound messages and by anything queued for it; it takes in leases,
+flushes queued messages, and
+heartbeats every ``heartbeat_interval`` (the coordinator's, adopted
+from its welcome) — so a slow run keeps heartbeating (straggler, never
+killed) while a paused or GIL-bound worker goes silent (the
+coordinator's liveness call).  On a lost connection the worker
+reconnects with backoff and **re-registers**, then flushes any results
+buffered while disconnected — that is how it survives both partitions
+and a coordinator restart; the coordinator resolves replayed results
+by cache key, so nothing double-commits.
 """
 
 from __future__ import annotations
@@ -50,6 +54,87 @@ from repro.cluster import comm, protocol
 #: Serializes per-run telemetry-registry installs across executor
 #: threads (the registry hook is process-global).
 _TELEMETRY_LOCK = threading.Lock()
+
+
+def _execute(spec, builder, metered: bool):
+    """Run one spec; returns ``(ok, payload, snap)``.
+
+    ``payload`` is the metrics dict, or ``{"type", "message"}`` when the
+    run raised.  ``metered`` installs a fresh metrics registry for the
+    run and returns its snapshot as ``snap`` (else ``None``).  Only
+    ``Exception`` is caught.
+    """
+    from repro.sweep.registry import execute_spec
+
+    snap = None
+    try:
+        if metered:
+            from repro.telemetry.registry import MetricsRegistry, install
+
+            registry = MetricsRegistry()
+            previous = install(registry)
+            try:
+                metrics = execute_spec(spec, builder)
+            finally:
+                install(previous)
+                snap = registry.snapshot()
+        else:
+            metrics = execute_spec(spec, builder)
+    except Exception as exc:
+        return False, _failure(exc), snap
+    return True, metrics, snap
+
+
+def _decode(key: str, wire: Any):
+    """Rebuild a lease's spec; :class:`~repro.cluster.protocol.SpecWireError`
+    unless it is one and hashes to the lease's key."""
+    spec = protocol.spec_from_wire(wire)
+    if spec.key() != key:
+        raise protocol.SpecWireError(
+            f"lease spec rebuilds key {spec.key()[:12]}, "
+            f"not its lease key {str(key)[:12]}"
+        )
+    return spec
+
+
+def _failure(exc: BaseException) -> Dict[str, str]:
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def _worker_main(conn) -> None:
+    """Body of an isolated executor slot's subprocess.
+
+    Each message is a lease's ``(key, wire spec, metered)``; the reply
+    is ``(ok, payload, kind, snap)``: :func:`_execute`'s outcome with
+    kind ``""`` or ``"exception"``, or kind ``"decode"`` when the spec
+    does not decode to the key (checked here, off the sweep process's
+    CPU).  ``None`` or a closed pipe ends the loop.
+    ``KeyboardInterrupt``/``SystemExit`` end the process, which the
+    executor reports as a crash.  One
+    :class:`~repro.sweep.registry.RunBuilder` builds every run.
+    """
+    from repro.sweep.registry import RunBuilder
+
+    builder = RunBuilder()
+    while True:
+        try:
+            item = conn.recv()
+        except (EOFError, OSError):
+            return
+        if item is None:
+            return
+        key, wire, metered = item
+        try:
+            spec = _decode(key, wire)
+        except protocol.SpecWireError as exc:
+            reply = (False, _failure(exc), "decode", None)
+        else:
+            ok, payload, snap = _execute(spec, builder, metered)
+            reply = (ok, payload, "" if ok else "exception", snap)
+        try:
+            conn.send(reply)
+        except (OSError, BrokenPipeError):
+            return
 
 
 class _ActiveRun:
@@ -74,7 +159,10 @@ class ClusterWorker:
     capacity:
         Concurrent executor slots (and the advertised lease capacity).
     isolate:
-        Execute leases in supervised subprocesses (see module docs).
+        Execute leases in subprocesses (see module docs).
+    heartbeat_interval:
+        Seconds between heartbeats until the coordinator's welcome
+        replaces it with the coordinator's own interval.
     reconnect_timeout:
         Total seconds to keep retrying a lost/absent coordinator before
         giving up; ``0`` fails fast (tests), ``None`` retries forever.
@@ -114,10 +202,19 @@ class ClusterWorker:
         #: Wakes executor threads the moment a lease lands; shares
         #: ``_lock`` so intake and revoke stay serialized.
         self._lease_cv = threading.Condition(self._lock)
+        #: Wakes the main loop: set by inbound messages (the
+        #: connection's ``wakeup``), by queued outbound ones and by stop.
+        self._wakeup = threading.Event()
         self._leases: deque = deque()  # granted, not yet picked up
         self._active: Dict[str, _ActiveRun] = {}
         self._outbox: deque = deque()  # messages awaiting a live conn
         self._executors: List[threading.Thread] = []
+        #: Per executor slot: its subprocess, pipe and whether a lease
+        #: is running there (isolate mode).
+        self._slots: List[Dict[str, Any]] = [
+            {"proc": None, "pipe": None, "busy": False}
+            for _ in range(self.capacity)
+        ]
         self._run_counter = itertools.count()
         self.results_completed = 0
         self._last_heartbeat = 0.0
@@ -145,6 +242,7 @@ class ClusterWorker:
                 time.sleep(delay)
                 delay = min(delay * 2, 2.0)
                 continue
+            conn.wakeup = self._wakeup
             conn.send(
                 {
                     "type": protocol.MSG_REGISTER,
@@ -155,6 +253,9 @@ class ClusterWorker:
                 }
             )
             self._conn = conn
+            # Registering is proof of life: the first heartbeat is due
+            # one interval from now.
+            self._last_heartbeat = time.monotonic()
             return True
         return False
 
@@ -164,9 +265,23 @@ class ClusterWorker:
             self._conn = None
 
     def _post(self, message: Dict[str, Any]) -> None:
-        """Queue a message for the main loop to flush (thread-safe)."""
+        """Send a message from an executor thread.
+
+        It goes straight over the live connection unless messages are
+        already queued ahead of it; then it is queued for the main loop
+        to flush.  A worker under chaos always queues, so the main loop
+        sees each result and applies its chaos events in between.
+        """
         with self._lock:
+            conn = self._conn
+            if conn is not None and not self._outbox and self.chaos is None:
+                try:
+                    conn.send(message)
+                    return
+                except comm.ClusterError:
+                    pass
             self._outbox.append(message)
+        self._wakeup.set()
 
     def _flush(self) -> bool:
         """Push the outbox over the live connection; False on failure."""
@@ -187,6 +302,9 @@ class ClusterWorker:
         mtype = message.get("type")
         if mtype == protocol.MSG_WELCOME:
             self.telemetry_on = bool(message.get("telemetry"))
+            interval = message.get("heartbeat_interval")
+            if interval:
+                self.heartbeat_interval = float(interval)
         elif mtype == protocol.MSG_LEASE:
             with self._lock:
                 self._leases.append(message)
@@ -215,10 +333,15 @@ class ClusterWorker:
             self._halt()
 
     def _halt(self) -> None:
-        """Stop serving and wake every executor waiting for a lease."""
+        """Stop serving: wake every executor waiting for a lease and the
+        main loop, and terminate any subprocess still running a lease."""
         with self._lease_cv:
             self._running = False
             self._lease_cv.notify_all()
+            for state in self._slots:
+                if state["busy"] and state["proc"] is not None:
+                    state["proc"].terminate()
+        self._wakeup.set()
 
     def _take_lease(self, wait: float = 0.0) -> Optional[Dict[str, Any]]:
         with self._lease_cv:
@@ -231,36 +354,16 @@ class ClusterWorker:
     # -- execution -------------------------------------------------------
     def _execute_inline(self, spec, builder):
         """Run a spec on this thread; returns (ok, payload, kind, snap)."""
-        from repro.sweep.registry import execute_spec
+        if self.telemetry_on:
+            with _TELEMETRY_LOCK:
+                ok, payload, snap = _execute(spec, builder, True)
+        else:
+            ok, payload, snap = _execute(spec, builder, False)
+        return ok, payload, "" if ok else "exception", snap
 
-        snap = None
-        try:
-            if self.telemetry_on:
-                from repro.telemetry.registry import MetricsRegistry, install
-
-                with _TELEMETRY_LOCK:
-                    registry = MetricsRegistry()
-                    previous = install(registry)
-                    try:
-                        metrics = execute_spec(spec, builder)
-                    finally:
-                        install(previous)
-                    snap = registry.snapshot()
-            else:
-                metrics = execute_spec(spec, builder)
-        except Exception as exc:
-            return (
-                False,
-                {"type": type(exc).__name__, "message": str(exc)},
-                "exception",
-                snap,
-            )
-        return True, metrics, "", snap
-
-    def _spawn_pool_proc(self):
+    @staticmethod
+    def _spawn_proc():
         import multiprocessing
-
-        from repro.sweep.engine import _worker_main
 
         parent, child = multiprocessing.Pipe()
         proc = multiprocessing.Process(
@@ -271,7 +374,7 @@ class ClusterWorker:
         return proc, parent
 
     @staticmethod
-    def _stop_pool_proc(state: Dict[str, Any], graceful: bool) -> None:
+    def _stop_proc(state: Dict[str, Any], graceful: bool) -> None:
         """Stop and reap this slot's subprocess, if it has one.
 
         ``graceful`` (an idle subprocess) sends ``None``, which ends its
@@ -294,137 +397,118 @@ class ClusterWorker:
         pipe.close()
 
     def _execute_isolated(
-        self, state: Dict[str, Any], key: str, spec,
+        self, state: Dict[str, Any], key: str, wire: Any,
         timeout: Optional[float], width: int,
     ):
-        """Run a spec in this slot's supervised subprocess.
+        """Run a lease's spec in this slot's subprocess, which decodes
+        it (see :func:`_worker_main`).
 
-        Mirrors the single-host pool's contract: a dead subprocess is a
-        ``crash``, one past ``timeout * width`` is killed and reported
-        as a ``timeout``; either way the subprocess is replaced.  A
-        worker stopped mid-run terminates the subprocess: nobody is left
-        to take the result.
+        A dead subprocess is a ``crash``; one past ``timeout * width``
+        is killed and reported as a ``timeout``; either way the next
+        lease starts a new one.  A worker stopped mid-run terminates
+        the subprocess (:meth:`_halt`): nobody is left to take the
+        result.
         """
-        from repro.telemetry import HEARTBEAT_TAG
+        from multiprocessing.connection import wait
 
-        if state.get("proc") is None or not state["proc"].is_alive():
-            state["proc"], state["pipe"] = self._spawn_pool_proc()
+        if state["proc"] is None or not state["proc"].is_alive():
+            self._stop_proc(state, graceful=False)  # reap a dead one
+            state["proc"], state["pipe"] = self._spawn_proc()
         proc, pipe = state["proc"], state["pipe"]
-        telem = (
-            {"heartbeat_interval": self.heartbeat_interval}
-            if self.telemetry_on
-            else None
-        )
+        with self._lock:
+            if not self._running:
+                return self._crash("worker stopped before the run")
+            state["busy"] = True
         try:
-            pipe.send((key, spec, telem))
-        except (OSError, BrokenPipeError):
-            self._stop_pool_proc(state, graceful=False)
-            return (
-                False,
-                {"type": "SweepWorkerError",
-                 "message": "pool worker died between assignments"},
-                "crash",
-                None,
+            try:
+                pipe.send((key, wire, self.telemetry_on))
+            except (OSError, BrokenPipeError):
+                self._stop_proc(state, graceful=False)
+                return self._crash("subprocess died between assignments")
+            deadline = (
+                time.monotonic() + timeout * max(width, 1)
+                if timeout is not None
+                else None
             )
-        deadline = (
-            time.monotonic() + timeout * max(width, 1)
-            if timeout is not None
-            else None
-        )
-        while True:  # the assigned run must resolve either way
-            step = 0.1
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._stop_pool_proc(state, graceful=False)
-                    return (
-                        False,
-                        {"type": "SweepTimeout",
-                         "message": (
-                             f"run exceeded the {timeout:g}s wall-clock "
-                             "timeout"
-                         )},
-                        "timeout",
-                        None,
-                    )
-                step = min(step, remaining)
-            if pipe.poll(step):
-                try:
-                    message = pipe.recv()
-                except (EOFError, OSError):
-                    message = None
-                if message is None:
-                    break  # torn pipe: treat as a crash below
-                if message[0] == HEARTBEAT_TAG:
-                    continue  # subprocess liveness; main loop heartbeats
-                _key, ok, payload, _wall, snap = message
-                if ok:
-                    return True, payload, "", snap
-                return False, payload, "exception", snap
-            elif not proc.is_alive():
-                break
-            elif not self._running:
-                self._stop_pool_proc(state, graceful=False)
-                return (
-                    False,
-                    {"type": "SweepWorkerError",
-                     "message": "worker stopped mid-run"},
-                    "crash",
-                    None,
-                )
+            while True:  # the assigned run must resolve either way
+                left = None
+                if deadline is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        self._stop_proc(state, graceful=False)
+                        return (
+                            False,
+                            {"type": "SweepTimeout",
+                             "message": (
+                                 f"run exceeded the {timeout:g}s "
+                                 "wall-clock timeout"
+                             )},
+                            "timeout",
+                            None,
+                        )
+                ready = wait([pipe, proc.sentinel], left)
+                if pipe in ready:
+                    try:
+                        return pipe.recv()
+                    except (EOFError, OSError):
+                        break  # torn pipe: treat as a crash below
+                if ready:
+                    break  # the subprocess died
+        finally:
+            with self._lock:
+                state["busy"] = False
         # Dead, or tore its pipe on its way out: let it finish exiting,
         # so the exit code is known, then reap it.
         proc.join(timeout=5.0)
         code = proc.exitcode
-        self._stop_pool_proc(state, graceful=False)
+        self._stop_proc(state, graceful=False)
+        if not self._running:
+            return self._crash("worker stopped mid-run")
+        return self._crash(f"worker process died (exit code {code})")
+
+    @staticmethod
+    def _crash(message: str):
+        """A ``crash`` outcome: the run ended without a result."""
         return (
-            False,
-            {"type": "SweepWorkerError",
-             "message": f"worker process died (exit code {code})"},
-            "crash",
-            None,
+            False, {"type": "SweepWorkerError", "message": message},
+            "crash", None,
         )
 
     def _executor_loop(self, slot: int) -> None:
         from repro.sweep.registry import RunBuilder
 
-        state: Dict[str, Any] = {"proc": None, "pipe": None}
+        state = self._slots[slot]
         builder = RunBuilder()  # runs on this thread (not isolated)
         try:
             while self._running:
                 # Block on the lease condvar: it wakes the instant a
-                # grant lands.
-                lease = self._take_lease(wait=0.05)
+                # grant lands, and stop() wakes it too.
+                lease = self._take_lease(wait=1.0)
                 if lease is None:
                     continue
                 lease_id = lease["lease"]
                 key = lease["key"]
-                try:
-                    spec = protocol.spec_from_wire(lease.get("spec"))
-                    if spec.key() != key:
-                        raise protocol.SpecWireError(
-                            f"lease spec rebuilds key {spec.key()[:12]}, "
-                            f"not its lease key {str(key)[:12]}"
+                spec = None
+                if not self.isolate:
+                    try:
+                        spec = _decode(key, lease.get("spec"))
+                    except protocol.SpecWireError as exc:
+                        # No MSG_STARTED: the run never began.  A
+                        # "decode" kind routes through the coordinator's
+                        # retry path.
+                        self._post(
+                            {
+                                "type": protocol.MSG_RESULT,
+                                "lease": lease_id,
+                                "key": key,
+                                "ok": False,
+                                "payload": _failure(exc),
+                                "kind": "decode",
+                                "wall": 0.0,
+                                "snap": None,
+                            }
                         )
-                except protocol.SpecWireError as exc:
-                    # No MSG_STARTED: the run never began.  A "decode"
-                    # kind routes through the coordinator's retry path.
-                    self._post(
-                        {
-                            "type": protocol.MSG_RESULT,
-                            "lease": lease_id,
-                            "key": key,
-                            "ok": False,
-                            "payload": {
-                                "type": type(exc).__name__,
-                                "message": str(exc),
-                            },
-                            "kind": "decode",
-                            "wall": 0.0,
-                            "snap": None,
-                        }
-                    )
-                    continue
+                        continue
                 width = int(lease.get("width") or 1)
                 timeout = lease.get("timeout")
                 run_index = next(self._run_counter)
@@ -442,7 +526,7 @@ class ClusterWorker:
                 start = time.monotonic()
                 if self.isolate:
                     ok, payload, kind, snap = self._execute_isolated(
-                        state, key, spec, timeout, width
+                        state, key, lease.get("spec"), timeout, width
                     )
                 else:
                     ok, payload, kind, snap = self._execute_inline(
@@ -465,7 +549,7 @@ class ClusterWorker:
                 )
                 self.results_completed += 1
         finally:
-            self._stop_pool_proc(state, graceful=True)
+            self._stop_proc(state, graceful=True)
 
     # -- the main loop ---------------------------------------------------
     def _heartbeat(self) -> None:
@@ -484,6 +568,13 @@ class ClusterWorker:
             )
         except comm.ClusterError:
             pass  # the pump notices the dead conn
+
+    def _heartbeat_due(self) -> float:
+        """Seconds until the next heartbeat is due."""
+        return max(
+            0.0,
+            self._last_heartbeat + self.heartbeat_interval - time.monotonic(),
+        )
 
     def _apply_chaos(self) -> None:
         if self.chaos is None:
@@ -523,14 +614,11 @@ class ClusterWorker:
                 if self._conn is None:
                     if not self._connect():
                         break
-                # Short poll while anything is in flight (results must
-                # flush promptly for tiny cells), long poll when idle so
-                # an idle worker stays cheap.
-                with self._lock:
-                    busy = bool(self._active or self._leases or self._outbox)
-                recv_timeout = 0.002 if busy else 0.02
+                # Cleared before the connection is drained, so anything
+                # that arrives from here on wakes the wait below.
+                self._wakeup.clear()
                 try:
-                    message = self._conn.recv(timeout=recv_timeout)
+                    message = self._conn.recv(timeout=0)
                     while message is not None:
                         self._handle(message)
                         if not self._running:
@@ -546,6 +634,7 @@ class ClusterWorker:
                     continue
                 self._heartbeat()
                 self._apply_chaos()
+                self._wakeup.wait(self._heartbeat_due())
         finally:
             self._halt()
             if self._conn is not None and not self._killed:
@@ -604,7 +693,7 @@ def main(argv=None) -> int:
         "--no-isolate",
         action="store_true",
         help="execute leases on threads in this process instead of in "
-        "supervised subprocesses (faster; loses crash/timeout isolation)",
+        "subprocesses (faster; loses crash/timeout isolation)",
     )
     parser.add_argument(
         "--reconnect-timeout",

@@ -4,16 +4,19 @@
 their metric dicts in input order.  Identical specs are executed once;
 results are looked up in (and written back to) an on-disk JSON cache keyed
 by the spec's content hash — which includes the package version, so a
-version bump invalidates everything.  Misses fan out over long-lived
-worker processes; because every run is a pure function of its spec (each
-worker builds its own environment and RNGs from the spec's seed),
-parallel results are bit-identical to serial ones regardless of
-scheduling order.
+version bump invalidates everything.  Misses run in this process when
+one worker suffices; otherwise they fan out through the
+:mod:`repro.cluster` coordinator, which leases them to its own
+auto-workers (each driving one subprocess) or to workers that joined
+an explicit address.  Because every run is a pure function of its spec
+(each worker builds its own environment and RNGs from the spec's
+seed), parallel results are bit-identical to serial ones regardless
+of scheduling order.
 
 Two throughput layers sit on top of the plain fan-out:
 
 * **Predictive dispatch** — a persistent :class:`~repro.sweep.cost.CostModel`
-  learns per-spec wall times and orders pool submission longest-first, so
+  learns per-spec wall times and orders submission longest-first, so
   the slowest run never starts last.  Advisory only: submission order
   cannot change any result (results are keyed by content hash).
 * **Adaptive replication** (:meth:`SweepRunner.run_adaptive`) — replicate
@@ -23,9 +26,10 @@ Two throughput layers sit on top of the plain fan-out:
 
 And one robustness layer underneath (see ``docs/robustness.md``):
 
-* a worker that **crashes** (segfault, OOM-kill, ``os._exit``) or blows a
-  per-run wall-clock **timeout** is respawned and its spec retried with
-  exponential backoff, up to ``max_attempts``;
+* a worker subprocess that **crashes** (segfault, OOM-kill,
+  ``os._exit``) or blows a per-run wall-clock **timeout** is replaced
+  and its spec retried with exponential backoff, up to
+  ``max_attempts`` (the coordinator's retry budget);
 * a spec whose execution raises is a *deterministic* failure — it is
   captured once (no retry) as an **error result**
   ``{"error": {"type", "message", "attempts", "kind"}}`` in place of its
@@ -41,10 +45,8 @@ And one robustness layer underneath (see ``docs/robustness.md``):
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.profile.phases import phase_scope
-from repro.telemetry import HEARTBEAT_TAG, ProgressEmitter, Telemetry
+from repro.telemetry import ProgressEmitter, Telemetry
 from repro.sweep.adaptive import (
     ADAPTIVE_KEY,
     AdaptivePolicy,
@@ -246,74 +248,6 @@ def pop_stats() -> List[SweepStats]:
     return drained
 
 
-def _worker_main(conn) -> None:
-    """Long-lived pool worker: executes one assignment per message.
-
-    An assignment is ``(key, spec, telem)``; ``telem`` is ``None`` when
-    telemetry is off, else a small config mapping (heartbeat interval).
-    Replies ``(key, ok, payload, wall, snap)`` where ``payload`` is the
-    metrics dict on success or ``{"type", "message"}`` when the run
-    raised, and ``snap`` is the worker-side metrics-registry snapshot
-    (``None`` with telemetry off).  While a metered run executes, a
-    :class:`~repro.telemetry.heartbeat.HeartbeatSender` thread multiplexes
-    ``(HEARTBEAT_TAG, key, elapsed)`` progress pings over the same pipe
-    (all sends share one lock).  Only ``Exception`` is caught —
-    ``KeyboardInterrupt``/``SystemExit`` kill the process, which the
-    supervisor observes as a crash and retries.  One
-    :class:`~repro.sweep.registry.RunBuilder` builds every run the
-    worker executes.
-    """
-    send_lock = threading.Lock()
-    builder = RunBuilder()
-
-    def _send(message) -> None:
-        with send_lock:
-            conn.send(message)
-
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        key, spec, telem = item
-        start = time.perf_counter()
-        snap = None
-        try:
-            if telem:
-                from repro.telemetry import HeartbeatSender
-                from repro.telemetry.registry import MetricsRegistry, install
-
-                registry = MetricsRegistry()
-                previous = install(registry)
-                try:
-                    with HeartbeatSender(
-                        _send, key,
-                        float(telem.get("heartbeat_interval", 0.25)),
-                    ):
-                        metrics = execute_spec(spec, builder)
-                finally:
-                    install(previous)
-                    snap = registry.snapshot()
-            else:
-                metrics = execute_spec(spec, builder)
-        except Exception as exc:
-            payload = (
-                key,
-                False,
-                {"type": type(exc).__name__, "message": str(exc)},
-                time.perf_counter() - start,
-                snap,
-            )
-        else:
-            payload = (key, True, metrics, time.perf_counter() - start, snap)
-        try:
-            _send(payload)
-        except (OSError, BrokenPipeError):
-            return
-
-
 def _is_traced(spec: RunSpec) -> bool:
     """Whether the spec requests tracing (always bypasses the cache).
 
@@ -327,24 +261,11 @@ def _is_traced(spec: RunSpec) -> bool:
 
 @dataclass
 class _Job:
-    """One unit of supervised work: a unique spec plus its retry state."""
+    """One unique spec to execute, with the attempts it has used."""
 
     key: str
     spec: RunSpec
     attempts: int = 0
-    not_before: float = 0.0
-
-
-@dataclass
-class _Handle:
-    """A live worker process and, when busy, its current assignment."""
-
-    proc: multiprocessing.Process
-    conn: Any
-    job: Optional[_Job] = None
-    deadline: Optional[float] = None
-    #: This worker's row in the telemetry WorkerTable.
-    ident: int = -1
 
 
 @dataclass
@@ -368,9 +289,15 @@ class SweepRunner:
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` means ``os.cpu_count()``.  ``1`` runs
-        in-process (no pool) unless a ``timeout`` is set, which needs
-        subprocess isolation to enforce.
+        Worker processes; ``None`` means ``os.cpu_count()``.  A round
+        with one spec to execute, or ``jobs=1``, runs in this process
+        unless a ``timeout`` is set, which needs a subprocess to
+        enforce.  Otherwise the round goes through the cluster
+        coordinator with ``min(jobs, pending)`` auto-workers, each
+        running its leases in one persistent subprocess; the first such
+        round of a run()/run_adaptive() call starts them, later rounds
+        reuse them (adding more if a round needs them), and the call
+        stops and reaps them before it returns.
     cache_dir:
         Result-cache directory; default ``~/.cache/repro-sweeps`` (or
         ``$REPRO_SWEEP_CACHE``).
@@ -389,8 +316,9 @@ class SweepRunner:
         cache/checkpoint and any captured error, plus the sweep's
         :class:`SweepStats`.
     timeout:
-        Per-run wall-clock budget in seconds; a run past it is killed and
-        retried.  ``None`` (default) never times runs out.
+        Per-run wall-clock budget in seconds; the worker kills a run
+        past it and the coordinator retries it.  ``None`` (default)
+        never times runs out.
     max_attempts:
         Total attempts per spec for *infrastructure* failures (worker
         crash or timeout); past the budget the spec resolves to an error
@@ -426,17 +354,15 @@ class SweepRunner:
         sweep runs.  Implies nothing about ``telemetry`` — harnesses
         enable both together.
     cluster:
-        Route execution through the :mod:`repro.cluster` coordinator
-        instead of the local pool (see ``docs/cluster.md``).  ``"inproc"``
-        listens on an automatic in-process address and starts ``jobs``
-        auto-workers itself, each running its leases in one persistent
-        subprocess; like the local pool, they live for one
-        run()/run_adaptive() call and are stopped and reaped before it
-        returns.  An explicit ``inproc://name`` or ``tcp://host:port``
+        Where the coordinator listens (see ``docs/cluster.md``).
+        ``None`` and ``"inproc"`` are the same: an automatic in-process
+        address served by the auto-workers described under ``jobs``,
+        except that ``"inproc"`` sends even a one-spec round through
+        them.  An explicit ``inproc://name`` or ``tcp://host:port``
         address listens there and waits for external workers
         (``python -m repro.cluster.worker --connect ...``) to join.
         Caching, checkpointing, ``resume`` and retry budgets work
-        identically; results are bit-identical to a local run.
+        identically; results are bit-identical to a serial run.
     lease_timeout / liveness_timeout:
         Cluster-only overrides for the coordinator's lease-expiry and
         worker-silence budgets (see
@@ -490,13 +416,9 @@ class SweepRunner:
         self.lease_timeout = lease_timeout
         self.liveness_timeout = liveness_timeout
         self._coordinator = None
-        #: The ``"inproc"`` auto-workers of the current call; the call's
-        #: first cluster round starts them, with their coordinator.
+        #: The auto-workers of the current call; the call's first
+        #: coordinated round starts them, with their coordinator.
         self._cluster_workers: List[Any] = []
-        #: Every live local-pool worker, idle or busy.  The first
-        #: supervised round of a run()/run_adaptive() call starts them,
-        #: later rounds reuse them, and the call stops them on its way out.
-        self._pool: List[_Handle] = []
         self._resumed_stale = 0
         self.last_stats: Optional[SweepStats] = None
         self.cost_model = CostModel(
@@ -758,36 +680,34 @@ class SweepRunner:
             self._dashboard.tick()
 
     def _estimate_eta(
-        self,
-        queued: Sequence[_Job],
-        busy: Sequence[_Handle],
-        workers: int,
+        self, unresolved: Dict[str, RunSpec], workers: int
     ) -> Optional[float]:
         """Predicted seconds to drain the sweep, from the cost EWMAs.
 
-        Unknown specs are priced at the mean of the known predictions;
-        with no known prediction at all there is no estimate.
+        ``unresolved`` holds the specs not yet resolved; those running
+        are read off the WorkerTable's busy rows.  Unknown specs are
+        priced at the mean of the known predictions; with no known
+        prediction at all there is no estimate.
         """
-        preds = [self.cost_model.predict(job.spec) for job in queued]
+        now = self.telemetry.now()
+        running = {view.key: view for view in self.telemetry.workers.running()}
+        preds = [
+            self.cost_model.predict(spec)
+            for key, spec in unresolved.items()
+            if key not in running
+        ]
         known = [p for p in preds if p is not None]
         fill = (sum(known) / len(known)) if known else None
         if preds and fill is None:
             return None
         ahead = sum((p if p is not None else fill) for p in preds)
-        now = self.telemetry.now()
-        running = 0.0
-        for handle in busy:
-            if handle.job is None:
-                continue
-            expected = self.cost_model.predict(handle.job.spec)
+        left = 0.0
+        for view in running.values():
+            expected = view.expected
             if expected is None:
                 expected = fill if fill is not None else 0.0
-            try:
-                elapsed = self.telemetry.workers.view(handle.ident).elapsed(now)
-            except KeyError:
-                elapsed = 0.0
-            running += max(0.0, expected - elapsed)
-        return (ahead + running) / max(workers, 1)
+            left += max(0.0, expected - view.elapsed(now))
+        return (ahead + left) / max(workers, 1)
 
     def _execute_unique(
         self, unique: Dict[str, RunSpec], allow_batching: bool = False
@@ -796,8 +716,9 @@ class SweepRunner:
 
         Returns ``(results, walls, batch_stats)``.  Submission order is
         chosen by the cost model (unknown first, then longest-first) but
-        results are keyed by content hash, so the order — like the pool's
-        completion order — cannot influence any returned value.
+        results are keyed by content hash, so the order — like the
+        completion order — cannot influence any returned value.  Nothing
+        is started when every spec is already resolved.
 
         With ``allow_batching`` (the adaptive path), pending replicates
         of one cell are packed into batched pseudo-runs; their results
@@ -845,7 +766,7 @@ class SweepRunner:
                 )
             pending = self.cost_model.order(pending)
 
-        workers = min(self.jobs, len(pending)) if pending else 0
+        workers = min(self.jobs, len(pending))
         batch.workers = workers
         self._log(
             f"{len(unique)} unique: {batch.hits} cached"
@@ -858,14 +779,13 @@ class SweepRunner:
             )
             + (f" on {workers} workers" if workers > 1 else "")
         )
-        if self.cluster is not None:
-            self._run_cluster(pending, results, walls, batch)
-        elif workers > 1 or (workers == 1 and self.timeout is not None):
-            self._run_supervised(pending, results, walls, batch, workers)
+        if not pending:
+            return results, walls, batch
+        if self.cluster is not None or workers > 1 or self.timeout is not None:
+            self._run_cluster(pending, results, walls, batch, workers)
         else:
             self._run_inline(pending, results, walls, batch)
-        if pending:
-            self.cost_model.save()
+        self.cost_model.save()
         return results, walls, batch
 
     def _plan_batches(
@@ -1046,50 +966,54 @@ class SweepRunner:
         )
 
     # -- cluster execution ----------------------------------------------
-    def _ensure_coordinator(self):
-        """Create the cluster coordinator unless one is open — and, for
-        the plain ``"inproc"`` mode, its auto-workers.
+    def _ensure_coordinator(self, workers: int = 0):
+        """The cluster coordinator, created unless one is open, with at
+        least ``workers`` auto-workers when the address is automatic.
 
         An explicit address keeps its coordinator until :meth:`close`.
-        The ``"inproc"`` coordinator and its auto-workers follow the
-        local pool's lifecycle: the first cluster round of a
-        run()/run_adaptive() call creates them, later rounds reuse them,
-        and the call ends with :meth:`_stop_cluster_workers`.
+        The automatic one and its auto-workers live for one
+        run()/run_adaptive() call: its first coordinated round creates
+        them, later rounds reuse them (topping them up to the round's
+        ``workers``), and the call ends with
+        :meth:`_stop_cluster_workers`.
         """
-        if self._coordinator is not None:
-            return self._coordinator
-        from repro.cluster.coordinator import ClusterCoordinator
+        auto = self.cluster in (None, "inproc")
+        if self._coordinator is None:
+            from repro.cluster.coordinator import ClusterCoordinator
 
-        address = self.cluster
-        auto_workers = 0
-        if address == "inproc":
-            # Self-contained mode: the runner is its own cluster.
-            address = f"inproc://sweep-{self.label}-{id(self):x}"
-            auto_workers = self.jobs
-        self._coordinator = ClusterCoordinator(
-            address,
-            telemetry=self.telemetry,
-            max_attempts=self.max_attempts,
-            retry_backoff=self.retry_backoff,
-            run_timeout=self.timeout,
-            lease_timeout=self.lease_timeout,
-            liveness_timeout=self.liveness_timeout,
-            # Generous drain: lingers only while reclaimed-but-alive
-            # leases are outstanding, so their late duplicates are
-            # observed (and suppressed) instead of orphaned.
-            drain_timeout=2.0,
-            cost_model=self.cost_model,
-            log=self._log,
-        )
-        if auto_workers:
+            address = self.cluster
+            if auto:
+                address = f"inproc://sweep-{self.label}-{id(self):x}"
+            self._coordinator = ClusterCoordinator(
+                address,
+                telemetry=self.telemetry,
+                max_attempts=self.max_attempts,
+                retry_backoff=self.retry_backoff,
+                run_timeout=self.timeout,
+                lease_timeout=self.lease_timeout,
+                liveness_timeout=self.liveness_timeout,
+                heartbeat_interval=self.telemetry.heartbeat_interval,
+                # Generous drain: lingers only while reclaimed-but-alive
+                # leases are outstanding, so their late duplicates are
+                # observed (and suppressed) instead of orphaned.
+                drain_timeout=2.0,
+                cost_model=self.cost_model,
+                log=self._log,
+            )
+            if not auto:
+                self._log(
+                    f"cluster: coordinating at {self._coordinator.address} "
+                    "(waiting for workers to connect)"
+                )
+        if auto and len(self._cluster_workers) < workers:
             from repro.cluster.worker import start_worker_thread
 
             # Each auto-worker runs its leases in one persistent
-            # subprocess (the pool's _worker_main), so the sweep gets
-            # ``jobs`` CPUs rather than one shared interpreter lock, and
-            # a per-run timeout can kill a run.
+            # subprocess, so the sweep gets ``workers`` CPUs rather than
+            # one shared interpreter lock, and a per-run timeout can
+            # kill a run.
             reconnect_timeout = 5.0
-            for i in range(auto_workers):
+            for i in range(len(self._cluster_workers), workers):
                 self._cluster_workers.append(
                     start_worker_thread(
                         self._coordinator.address,
@@ -1101,12 +1025,7 @@ class SweepRunner:
                 )
             # Registered before the first dispatch pass, which would
             # otherwise find zero workers and report itself parked.
-            self._coordinator.await_workers(auto_workers, reconnect_timeout)
-        self._log(
-            f"cluster: coordinating at {self._coordinator.address}"
-            + (f" with {auto_workers} local workers" if auto_workers else
-               " (waiting for workers to connect)")
-        )
+            self._coordinator.await_workers(workers, reconnect_timeout)
         return self._coordinator
 
     def _run_cluster(
@@ -1115,25 +1034,41 @@ class SweepRunner:
         results: Dict[str, Dict[str, Any]],
         walls: Dict[str, float],
         batch: _BatchStats,
+        workers: int,
     ) -> None:
         """Fan pending specs out over the cluster coordinator.
 
         Each outcome is recorded *as it commits* (streaming, through the
-        coordinator's ``on_resolved`` hook), so caching, checkpointing
-        and ``--resume`` behave exactly as under the local pool: a sweep
-        killed mid-flight resumes past every committed cell.  A batch
-        pseudo-run whose harness fails deterministically falls back to
-        scalar runs of its members, mirroring the local paths.
+        coordinator's ``on_resolved`` hook), so a sweep killed
+        mid-flight resumes past every committed cell.  A batch pseudo-run
+        whose harness fails deterministically falls back to scalar runs
+        of its members, as inline.  Every 25th resolution logs an
+        ``N/M resolved`` line; with telemetry on, each loop pass
+        refreshes the gauges and the ETA.
         """
-        coord = self._ensure_coordinator()
+        coord = self._ensure_coordinator(workers)
         tele = self.telemetry
         specs_by_key: Dict[str, RunSpec] = dict(pending)
+        unresolved: Dict[str, RunSpec] = dict(pending)
         jobs = [
             (key, spec, self._job_width(_Job(key, spec)))
             for key, spec in pending
         ]
+        progress = {"total": len(pending), "done": 0}
 
         def on_resolved(key, out):
+            unresolved.pop(key, None)
+            progress["done"] += 1
+            extras = resolve(key, out)
+            if extras:
+                progress["total"] += len(extras)
+                unresolved.update((k, s) for k, s, _width in extras)
+            done = progress["done"]
+            if done % 25 == 0:
+                self._log(f"{done}/{progress['total']} resolved")
+            return extras
+
+        def resolve(key, out):
             spec = specs_by_key[key]
             job = _Job(key, spec, attempts=max(out.attempts - 1, 0))
             tele.registry.merge(out.snap)
@@ -1165,7 +1100,7 @@ class SweepRunner:
                 )
                 return None
             # Exhausted retry budget: every member resolves to an error
-            # result, like the supervised pool's give-up path.
+            # result.
             width = len(members) if members else 1
             for rep_key, _rep_spec in members or [(key, spec)]:
                 results[rep_key] = _error_result(
@@ -1187,7 +1122,10 @@ class SweepRunner:
             return None
 
         def tick(queue_depth, busy, live):
-            self._tick(queue_depth, busy, live)
+            self._tick(
+                queue_depth, busy, live,
+                eta=self._estimate_eta(unresolved, live),
+            )
 
         report = coord.execute(
             jobs,
@@ -1199,17 +1137,21 @@ class SweepRunner:
         batch.workers = max(report.peak_workers, 1)
         self._m_timeouts.inc(report.timeouts)
         self._m_retries.inc(report.retries)
+        self._m_runs_started.inc(report.started)
+        self._m_heartbeats.inc(report.heartbeats)
+        self._m_stragglers.inc(report.stragglers)
 
     def _stop_cluster_workers(self) -> None:
-        """Stop the ``"inproc"`` auto-workers and their coordinator;
-        run()/run_adaptive() end with this, as with the local pool.
+        """Stop the auto-workers and their coordinator; run() and
+        run_adaptive() end with this.
 
         Closing the coordinator sends each worker its shutdown; each
-        worker then ends its subprocess gracefully (``None`` on the pipe,
-        a bounded join, ``terminate`` only as a fallback or for a run cut
-        off when the sweep raised).  Joining the worker threads here
-        reaps every subprocess before the call returns, inside the
-        call's trace span and CPU accounting.
+        worker then ends its idle subprocess gracefully (``None`` on the
+        pipe, a bounded join, ``terminate`` only as a fallback) and
+        terminates one still running a lease, which only happens when
+        the sweep raised.  Joining the worker threads here reaps every
+        subprocess before the call returns, inside the call's trace span
+        and CPU accounting.
         """
         if not self._cluster_workers:
             return
@@ -1222,7 +1164,7 @@ class SweepRunner:
         self._cluster_workers = []
 
     def close(self) -> None:
-        """Release cluster resources (idempotent; local-pool no-op)."""
+        """Release cluster resources (idempotent)."""
         self._stop_cluster_workers()
         if self._coordinator is not None:
             self._coordinator.close()
@@ -1301,338 +1243,6 @@ class SweepRunner:
             if previous is not None:
                 install(previous)
 
-    # -- local pool ------------------------------------------------------
-    def _spawn_worker(self) -> _Handle:
-        """Start one pool worker process and add it to the pool."""
-        parent, child = multiprocessing.Pipe()
-        proc = multiprocessing.Process(
-            target=_worker_main, args=(child,), daemon=True
-        )
-        proc.start()
-        child.close()
-        handle = _Handle(
-            proc=proc,
-            conn=parent,
-            ident=self.telemetry.workers.spawn(proc.pid),
-        )
-        self._pool.append(handle)
-        return handle
-
-    def _retire_worker(self, handle: _Handle, terminate: bool) -> None:
-        """Drop ``handle`` from the pool and reap its process."""
-        self._pool.remove(handle)
-        self.telemetry.workers.retire(handle.ident)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        if terminate and handle.proc.is_alive():
-            handle.proc.terminate()
-        handle.proc.join(timeout=5.0)
-
-    def _stop_pool(self) -> None:
-        """Stop every pool worker; run()/run_adaptive() end with this.
-
-        Idle workers are told to exit and joined.  A worker still busy —
-        only possible when the sweep raised mid-round — is terminated.
-        """
-        for handle in self._pool:
-            if handle.job is None:
-                try:
-                    handle.conn.send(None)
-                except (OSError, BrokenPipeError):
-                    pass
-        for handle in list(self._pool):
-            self._retire_worker(handle, terminate=handle.job is not None)
-
-    def _run_supervised(
-        self,
-        pending: Sequence[Tuple[str, RunSpec]],
-        results: Dict[str, Dict[str, Any]],
-        walls: Dict[str, float],
-        batch: _BatchStats,
-        workers: int,
-    ) -> None:
-        """Crash/timeout-tolerant fan-out over long-lived workers.
-
-        The supervisor assigns one spec at a time to each worker over a
-        pipe and multiplexes on ``multiprocessing.connection.wait`` across
-        result pipes *and* process sentinels, so a worker that dies
-        without replying (segfault, OOM-kill, ``os._exit``) is detected
-        immediately rather than hanging the sweep.  Crashed and timed-out
-        specs are re-dispatched with exponential backoff up to
-        ``max_attempts``; past the budget they resolve to error results.
-
-        Workers outlive the round: they stay in ``self._pool`` (with
-        their DAG-template caches) until the calling
-        run()/run_adaptive() stops the pool.  A
-        worker that returns a result gets its next assignment before the
-        parent caches, checkpoints and records that result.
-        """
-        from multiprocessing import connection as mpc
-
-        tele = self.telemetry
-        telem_cfg = (
-            {"heartbeat_interval": tele.heartbeat_interval}
-            if tele.enabled
-            else None
-        )
-        todo = deque(_Job(key, spec) for key, spec in pending)
-        backoff: List[_Job] = []
-        idle: List[_Handle] = list(self._pool)
-        busy: List[_Handle] = []
-        total = len(pending)
-        done = 0
-        progress_mark = 0  # done // 25 at the last progress line
-
-        def _fault(job: _Job, kind: str, etype: str, message: str) -> None:
-            """An infrastructure failure: retry with backoff, or give up."""
-            nonlocal done
-            job.attempts += 1
-            self._attempts[job.key] = job.attempts
-            if kind == "timeout":
-                batch.timeouts += 1
-                self._m_timeouts.inc()
-            fault_wall = (
-                self.timeout * self._job_width(job)
-                if kind == "timeout" and self.timeout is not None
-                else None
-            )
-            for rep_key, _rep_spec in self._batch_members.get(job.key) or [
-                (job.key, job.spec)
-            ]:
-                self._history.setdefault(rep_key, []).append(
-                    {"attempt": job.attempts, "outcome": kind,
-                     "wall": fault_wall}
-                )
-            if job.attempts >= self.max_attempts:
-                # A batch job that exhausts its budget resolves every
-                # member replicate to an error result, never the pseudo
-                # key (which no caller ever looks up).
-                members = self._batch_members.pop(job.key, None)
-                for rep_key, _rep_spec in members or [(job.key, job.spec)]:
-                    results[rep_key] = _error_result(
-                        etype, message, job.attempts, kind
-                    )
-                    self._sources[rep_key] = "failed"
-                    self._attempts[rep_key] = job.attempts
-                    batch.failures += 1
-                    batch.exhausted += 1
-                width = len(members) if members else 1
-                self._m_failures.inc(width)
-                tele.done += width
-                done += 1
-                self._log(
-                    f"run {job.key[:12]}: {kind} on attempt "
-                    f"{job.attempts}/{self.max_attempts}; giving up "
-                    f"({message})",
-                    kind="fail",
-                )
-            else:
-                batch.retries += 1
-                self._m_retries.inc()
-                delay = self.retry_backoff * (2 ** (job.attempts - 1))
-                job.not_before = time.monotonic() + delay
-                backoff.append(job)
-                self._log(
-                    f"run {job.key[:12]}: {kind} on attempt "
-                    f"{job.attempts}/{self.max_attempts}; retrying in "
-                    f"{delay:.2f}s",
-                    kind="retry",
-                )
-
-        def _hand_out() -> None:
-            """Give idle workers jobs, topping the pool up to ``workers``."""
-            while todo and (idle or len(idle) + len(busy) < workers):
-                handle = idle.pop() if idle else self._spawn_worker()
-                job = todo.popleft()
-                handle.job = job
-                handle.deadline = (
-                    # A batched run legitimately takes up to width times a
-                    # scalar run's wall clock: scale its deadline to match.
-                    (time.monotonic() + self.timeout * self._job_width(job))
-                    if self.timeout is not None
-                    else None
-                )
-                with phase_scope("dispatch"):
-                    sent = True
-                    try:
-                        handle.conn.send((job.key, job.spec, telem_cfg))
-                    except (OSError, BrokenPipeError):
-                        sent = False
-                if not sent:
-                    # The worker died between assignments, possibly while
-                    # idle between rounds: recycle the job (not an attempt
-                    # — it never started) and drop the worker; the loop
-                    # spawns a replacement.
-                    handle.job = None
-                    self._retire_worker(handle, terminate=True)
-                    todo.appendleft(job)
-                    continue
-                tele.workers.assign(
-                    handle.ident,
-                    job.key,
-                    self.label,
-                    attempt=job.attempts + 1,
-                    width=self._job_width(job),
-                    now=tele.now(),
-                    expected=self.cost_model.predict(job.spec),
-                )
-                self._m_runs_started.inc()
-                busy.append(handle)
-
-        while done < total:
-            now = time.monotonic()
-            ready_jobs = [j for j in backoff if j.not_before <= now]
-            if ready_jobs:
-                backoff[:] = [j for j in backoff if j.not_before > now]
-                todo.extend(ready_jobs)
-            _hand_out()
-
-            if not busy:
-                if backoff:
-                    pause = min(j.not_before for j in backoff) - time.monotonic()
-                    if pause > 0:
-                        time.sleep(pause)
-                continue
-
-            wait_for: List[Any] = [h.conn for h in busy]
-            wait_for += [h.proc.sentinel for h in busy]
-            wait_timeout: Optional[float] = None
-            deadlines = [h.deadline for h in busy if h.deadline is not None]
-            if deadlines:
-                wait_timeout = max(0.0, min(deadlines) - time.monotonic())
-            if backoff:
-                wake = max(
-                    0.0, min(j.not_before for j in backoff) - time.monotonic()
-                )
-                wait_timeout = (
-                    wake if wait_timeout is None else min(wait_timeout, wake)
-                )
-            if self._dashboard is not None:
-                # Keep dashboard frames coming even when nothing else
-                # would wake the multiplexer.
-                wait_timeout = (
-                    0.5 if wait_timeout is None else min(wait_timeout, 0.5)
-                )
-            ready = set(mpc.wait(wait_for, timeout=wait_timeout))
-
-            # Outcomes that arrived on this wake-up, as (job, ok, payload,
-            # wall); they are committed once their workers have new work.
-            arrived: List[Tuple[_Job, bool, Any, float]] = []
-            still_busy: List[_Handle] = []
-            for handle in busy:
-                job = handle.job
-                resolved = False
-                if handle.conn in ready or handle.proc.sentinel in ready:
-                    try:
-                        while not resolved and handle.conn.poll():
-                            message = handle.conn.recv()
-                            if message[0] == HEARTBEAT_TAG:
-                                tele.workers.heartbeat(
-                                    handle.ident, tele.now()
-                                )
-                                self._m_heartbeats.inc()
-                                continue
-                            _key, ok, payload, wall, snap = message
-                            handle.job = None
-                            tele.registry.merge(snap)
-                            tele.workers.finish(handle.ident)
-                            arrived.append((job, ok, payload, wall))
-                            done += 1
-                            idle.append(handle)
-                            resolved = True
-                    except (EOFError, OSError):
-                        pass
-                    if not resolved and not handle.proc.is_alive():
-                        code = handle.proc.exitcode
-                        handle.job = None
-                        self._retire_worker(handle, terminate=False)
-                        _fault(
-                            job,
-                            "crash",
-                            "SweepWorkerError",
-                            f"worker process died (exit code {code})",
-                        )
-                        resolved = True
-                if not resolved:
-                    still_busy.append(handle)
-            busy = still_busy
-            _hand_out()
-
-            for job, ok, payload, wall in arrived:
-                if ok:
-                    self._record_success(
-                        job, payload, wall, results, walls, batch
-                    )
-                    continue
-                fallback = self._batch_members.pop(job.key, None)
-                if fallback is None:
-                    self._record_exception(
-                        job, payload, results, batch, wall=wall
-                    )
-                    continue
-                # Deterministic batch-harness failure: re-run every
-                # member scalar instead.
-                self._log(
-                    f"batch {job.key[:12]} failed ({payload.get('type')}); "
-                    f"falling back to {len(fallback)} scalar runs"
-                )
-                self._m_batch_fallback.inc()
-                for fb_key, _fb_spec in fallback:
-                    self._batch_reason[fb_key] = "batch-failed"
-                todo.extend(_Job(k, s) for k, s in fallback)
-                total += len(fallback)
-
-            # Enforce per-run deadlines on whoever is still out there.
-            now = time.monotonic()
-            still_busy = []
-            for handle in busy:
-                if handle.deadline is not None and now >= handle.deadline:
-                    job = handle.job
-                    handle.job = None
-                    self._retire_worker(handle, terminate=True)
-                    _fault(
-                        job,
-                        "timeout",
-                        "SweepTimeout",
-                        f"run exceeded the {self.timeout:g}s wall-clock "
-                        "timeout",
-                    )
-                else:
-                    still_busy.append(handle)
-            busy = still_busy
-
-            if tele.enabled:
-                now = tele.now()
-                for view in tele.workers.check_stragglers(now, self.timeout):
-                    self._m_stragglers.inc()
-                    expected = (
-                        f" (expected ~{view.expected:.1f}s)"
-                        if view.expected
-                        else ""
-                    )
-                    self._log(
-                        f"worker {view.ident} (pid {view.pid}) straggling "
-                        f"on run {(view.key or '')[:12]}: "
-                        f"{view.elapsed(now):.1f}s elapsed{expected}; "
-                        "letting it finish",
-                        kind="straggler",
-                    )
-            if tele.enabled or self._dashboard is not None:
-                self._tick(
-                    len(todo) + len(backoff),
-                    busy=len(busy),
-                    live=len(busy) + len(idle),
-                    eta=self._estimate_eta(
-                        list(todo) + backoff, busy, workers
-                    ),
-                )
-
-            if done // 25 > progress_mark:
-                progress_mark = done // 25
-                self._log(f"{done}/{total} resolved")
-
     def run(self, specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
         """Execute ``specs``; returns one metrics dict per spec, in order.
 
@@ -1652,7 +1262,6 @@ class SweepRunner:
         try:
             results, walls, batch = self._execute_unique(unique)
         finally:
-            self._stop_pool()
             self._stop_cluster_workers()
 
         stats = SweepStats(
@@ -1832,7 +1441,6 @@ class SweepRunner:
                 # convergence against elapsed time.
                 tele.flush(force=True)
         finally:
-            self._stop_pool()
             self._stop_cluster_workers()
 
         aggregated: Dict[str, Dict[str, Any]] = {}

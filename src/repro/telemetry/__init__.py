@@ -7,9 +7,9 @@ package covers the machinery that executes many runs).  One
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` (counters,
   gauges, histograms — zero-overhead-when-off, bit-identity preserved);
-* a :class:`~repro.telemetry.heartbeat.WorkerTable` — the parent's live
-  model of every pool worker, fed by heartbeat messages multiplexed over
-  the existing result pipes;
+* a :class:`~repro.telemetry.heartbeat.WorkerTable` — the live model of
+  every worker slot, fed by the cluster coordinator from its workers'
+  lease starts, results and heartbeats;
 * the structured :class:`~repro.telemetry.progress.ProgressEmitter`
   behind every ``[sweep:<label>]`` line;
 * one **snapshot API** (:meth:`Telemetry.snapshot`) that both
@@ -34,8 +34,6 @@ from typing import Any, Dict, Optional
 
 from repro.telemetry.heartbeat import (
     DEFAULT_INTERVAL,
-    HEARTBEAT_TAG,
-    HeartbeatSender,
     WorkerTable,
     WorkerView,
     straggler_after,
@@ -88,8 +86,8 @@ class Telemetry:
     flush_interval:
         Minimum seconds between periodic JSONL snapshot lines.
     heartbeat_interval:
-        Seconds between worker heartbeat messages (workers receive this
-        with each assignment).
+        Seconds between worker heartbeat messages (the coordinator
+        sends it to each worker when it joins).
     """
 
     def __init__(
@@ -217,8 +215,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_INTERVAL",
     "Gauge",
-    "HEARTBEAT_TAG",
-    "HeartbeatSender",
     "Histogram",
     "METRICS_JSONL",
     "METRICS_PROM",

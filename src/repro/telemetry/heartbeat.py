@@ -1,14 +1,12 @@
-"""Worker heartbeats and the parent's live model of the pool.
+"""The sweep's live model of its workers, fed by their heartbeats.
 
-The supervised sweep pool (see :mod:`repro.sweep.engine`) talks to each
-worker over one pipe.  When telemetry is on, the worker additionally
-starts a :class:`HeartbeatSender` — a daemon thread that sends a small
-``(HEARTBEAT_TAG, key, elapsed)`` message every ``interval`` seconds
-while the (blocking, single-threaded) run executes, sharing the pipe
-under a lock with the result message.  The parent folds those messages
-into a :class:`WorkerTable`: one :class:`WorkerView` per worker holding
-its state, current spec, attempt number, wall time and heartbeat age —
-the live model behind the ``--watch`` dashboard.
+Every cluster worker (see :mod:`repro.cluster.worker`) — the sweep
+engine's own auto-workers included — sends the coordinator a heartbeat
+every ``heartbeat_interval`` seconds, naming the leases it is running.
+The coordinator folds those messages, and each lease's start and end,
+into a :class:`WorkerTable`: one :class:`WorkerView` per executor slot
+holding its state, current spec, attempt number, wall time and
+heartbeat age — the live model behind the ``--watch`` dashboard.
 
 **Heartbeats are diagnostic, never disciplinary.**  A worker whose run
 is slow — or whose heartbeats stop arriving because the run is stuck in
@@ -21,13 +19,8 @@ extends that deadline (regression-tested in
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
-
-#: First element of a heartbeat message on the worker result pipe.
-HEARTBEAT_TAG = "hb"
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 #: Default seconds between worker heartbeats.
 DEFAULT_INTERVAL = 0.25
@@ -59,47 +52,9 @@ def straggler_after(
     return min(bounds) if bounds else None
 
 
-class HeartbeatSender:
-    """Worker-side daemon thread: periodic progress pings over the pipe.
-
-    ``send`` is the (already lock-guarded) pipe send callable.  Use as a
-    context manager around the blocking run; exceptions from a closed
-    pipe are swallowed — the parent observing the dead pipe is the real
-    signal.
-    """
-
-    def __init__(
-        self, send: Callable[[Any], None], key: str, interval: float
-    ) -> None:
-        self._send = send
-        self._key = key
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._started = time.monotonic()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self._send(
-                    (HEARTBEAT_TAG, self._key,
-                     time.monotonic() - self._started)
-                )
-            except (OSError, BrokenPipeError, ValueError):
-                return
-
-    def __enter__(self) -> "HeartbeatSender":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-
 @dataclass
 class WorkerView:
-    """Parent-side live state of one pool worker."""
+    """Live state of one worker executor slot."""
 
     ident: int
     pid: Optional[int] = None
@@ -141,7 +96,7 @@ class WorkerView:
 
 
 class WorkerTable:
-    """Every worker the sweep has spawned, keyed by a stable ident."""
+    """Every worker slot the sweep has seen, keyed by a stable ident."""
 
     def __init__(self) -> None:
         self._views: Dict[int, WorkerView] = {}
@@ -149,7 +104,7 @@ class WorkerTable:
         self.stragglers_flagged = 0
 
     def spawn(self, pid: Optional[int]) -> int:
-        """Register a new worker process; returns its ident."""
+        """Register a new worker slot; returns its ident."""
         ident = self._next_ident
         self._next_ident += 1
         self._views[ident] = WorkerView(ident=ident, pid=pid)
@@ -232,6 +187,10 @@ class WorkerTable:
     def busy(self) -> int:
         return sum(1 for v in self._views.values() if v.state == "busy")
 
+    def running(self) -> List[WorkerView]:
+        """The busy rows."""
+        return [v for v in self._views.values() if v.state == "busy"]
+
     def live(self) -> int:
         return sum(1 for v in self._views.values() if v.state != "retired")
 
@@ -246,8 +205,6 @@ class WorkerTable:
 
 __all__ = [
     "DEFAULT_INTERVAL",
-    "HEARTBEAT_TAG",
-    "HeartbeatSender",
     "STALL_INTERVALS",
     "STRAGGLER_FACTOR",
     "STRAGGLER_TIMEOUT_FRACTION",

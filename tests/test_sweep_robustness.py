@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -618,6 +619,38 @@ class TestPoolLifecycle:
         assert stats.retries == 0
         assert len(started) == 3  # the two workers, then one replacement
         assert not any(proc.is_alive() for proc in started)
+
+    @pytest.mark.parametrize("cluster", [None, "inproc"])
+    def test_warm_cache_call_starts_nothing(
+        self, tmp_path, monkeypatch, process_starts, cluster
+    ):
+        # Every replicate of the second call is a cache hit, so it has
+        # nothing to dispatch: no coordinator, worker thread or process.
+        cold = _runner(tmp_path, jobs=2, use_cache=True, cluster=cluster)
+        try:
+            first = cold.run_adaptive(self._cells(), self.POLICY)
+        finally:
+            cold.close()
+        threads = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        del process_starts[:]
+        pop_stats()
+        warm = _runner(tmp_path, jobs=2, use_cache=True, cluster=cluster)
+        try:
+            rows = warm.run_adaptive(self._cells(), self.POLICY)
+        finally:
+            warm.close()
+        (stats,) = pop_stats()
+        assert rows == first
+        assert stats.executed == 0
+        assert process_starts == []
+        assert threads == []
 
     def test_progress_line_logged_once_per_multiple(
         self, tmp_path, capsys

@@ -564,6 +564,40 @@ class TestDashboard:
         assert tele.progress_emitter.sink is None
 
 
+class TestWatchOnTheCoordinator:
+    def test_rows_eta_and_progress_lines_mid_sweep(self, tmp_path, capsys):
+        """A metered two-worker sweep shows both worker rows and an ETA
+        mid-sweep, and logs its "N/M resolved" progress lines."""
+        tele = Telemetry(label="watch", enabled=True, out_dir=tmp_path,
+                         flush_interval=0.0)
+        runner = SweepRunner(
+            jobs=2, cluster="inproc", use_cache=False, progress=True,
+            cache_dir=tmp_path / "cache", label="watch", telemetry=tele,
+            watch=True,
+        )
+        pop_stats()
+        try:
+            runner.run(_sim_specs(seeds=range(16)))
+        finally:
+            runner.close()
+        (stats,) = pop_stats()
+        assert stats.executed == 32
+        with open(tmp_path / "metrics.jsonl") as fh:
+            snaps = [json.loads(line) for line in fh]
+        mid = snaps[:-1]
+        assert any(
+            len(s["workers"]) == 2 and s["progress"]["eta"] is not None
+            for s in mid
+        )
+        idents = {row["ident"] for s in mid for row in s["workers"]}
+        assert len(idents) == 2
+        assert sum(
+            tele.workers.view(ident).runs_done for ident in idents
+        ) == stats.executed
+        err = capsys.readouterr().err
+        assert "25/32 resolved" in err
+
+
 class TestReport:
     @pytest.fixture(scope="class")
     def sweep_dir(self, tmp_path_factory):
