@@ -1,14 +1,18 @@
 """Per-cell dispatch overhead of each sweep dispatch path.
 
 Runs one overhead-dominated sweep — many tiny ``single`` cells differing
-only in their seed — serially and through each dispatch path (local
-process pool, inproc cluster, 2-worker TCP cluster), ``REPEATS`` times
-each, and reports per path the median and quartiles of wall clock and
-per-cell overhead.  The paths take turns within each repetition, in
-alternating order, so a slow spell of a shared host lands on all of
-them rather than on whichever ran last.  Every sweep builds a fresh
-runner, so the pool and inproc figures include starting and stopping
-their two worker processes.
+only in their seed — serially and through each dispatch mode (``pool``:
+``jobs=2``; ``inproc``: ``jobs=2`` with ``cluster="inproc"``; ``tcp``: a
+TCP coordinator with two in-thread workers), ``REPEATS`` times each,
+and reports per mode the median and quartiles of wall clock and
+per-cell overhead.  ``pool`` and ``inproc`` time one path: both run
+through the coordinator with two auto-workers, each driving one
+subprocess (the supervised pool the ``pool`` mode once timed is
+deleted), so their difference is host noise.  The modes take turns
+within each repetition, in alternating order, so a slow spell of a
+shared host lands on all of them rather than on whichever ran last.
+Every sweep builds a fresh runner, so the ``pool`` and ``inproc``
+figures include starting and stopping their two worker subprocesses.
 
 Each sweep's metrics are asserted **bit-identical** to the serial
 reference run before any timing is reported: dispatch is transport and

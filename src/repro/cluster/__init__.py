@@ -1,9 +1,10 @@
 """Cross-host sweep scale-out: coordinator/worker cluster over a
 pluggable comm layer (see ``docs/cluster.md``).
 
-The package generalizes the single-host supervised pool's recovery
-machinery — lease expiry, reclaim, retry budgets, exactly-once commit —
-to real workers over a connection:
+Every parallel sweep of the sweep engine runs through this package: a
+coordinator leases cells to workers over a connection, the engine's own
+auto-workers on this host or workers that joined from elsewhere, with
+lease expiry, reclaim, retry budgets and exactly-once commit:
 
 * :mod:`repro.cluster.comm` — one connector API, two backends
   (``inproc://`` queues for deterministic tests, ``tcp://`` asyncio
@@ -14,14 +15,14 @@ to real workers over a connection:
   cells from backlogged workers, parks on zero workers;
 * :mod:`repro.cluster.worker` — ``python -m repro.cluster.worker
   --connect ADDR`` joins a coordinator, executes leases (inline or in
-  supervised subprocesses), streams results + heartbeats + telemetry
+  persistent subprocesses), streams results + heartbeats + telemetry
   snapshots, survives coordinator restart by re-registering;
 * :mod:`repro.cluster.chaos` — deterministic failure injection and the
   bit-identical-under-chaos acceptance proof.
 
-Enable from a sweep with ``SweepRunner(cluster="inproc")`` (self
--contained) or ``SweepRunner(cluster="tcp://host:port")`` (external
-workers), or from the CLI with ``--cluster``.
+``SweepRunner(jobs=N)`` uses it with ``N`` auto-workers;
+``SweepRunner(cluster="tcp://host:port")`` (or ``--cluster`` on the CLI)
+waits for external workers instead.
 """
 
 from repro.cluster.comm import (

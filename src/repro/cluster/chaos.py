@@ -175,7 +175,7 @@ def run_chaos_proof(
     """Execute the acceptance proof; returns the observed counters.
 
     Raises :class:`AssertionError` on any violation: a metrics mismatch
-    vs. the local-pool run, a duplicate checkpoint commit, or chaos
+    vs. the serial run, a duplicate checkpoint commit, or chaos
     that failed to exercise expiry/reclaim/suppression.
     """
     import shutil

@@ -667,7 +667,7 @@ class ClusterCoordinator:
                 ),
             )
             return
-        # Remote infrastructure failure (pool worker crash/timeout).
+        # Worker-side infrastructure failure (subprocess crash/timeout).
         target = cell if cell is not None else self._find_cell(cell_key)
         if target is not None:
             self._fault(

@@ -89,7 +89,7 @@ class SweepError(ReproError):
 
 
 class SweepWorkerError(SweepError):
-    """A sweep pool worker died (crashed process, torn pipe) mid-spec."""
+    """A sweep worker died (crashed process, torn pipe) mid-spec."""
 
 
 class SweepTimeout(SweepError):

@@ -65,12 +65,13 @@ class ExperimentSettings:
     cells from the per-figure checkpoint instead of recomputing them
     after an interrupted sweep.
 
-    ``cluster`` routes every sweep through the coordinator/worker
-    cluster backend instead of the local pool (see ``docs/cluster.md``):
-    ``"inproc"`` is self-contained, while an ``inproc://name`` or
+    ``cluster`` picks where the coordinator that every parallel sweep
+    runs through listens (see ``docs/cluster.md``): ``"inproc"`` is the
+    self-contained default of ``jobs > 1`` (and also sends single-spec
+    rounds through its auto-workers), while an ``inproc://name`` or
     ``tcp://host:port`` address waits for external workers to join.
     Caching, checkpoints and retry budgets behave identically; results
-    are bit-identical to a local run.
+    are bit-identical to a serial run.
 
     ``batch_runs`` controls batched replicate execution under
     ``adaptive`` (see ``docs/performance.md``): ``"auto"`` packs each

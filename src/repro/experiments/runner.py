@@ -206,10 +206,11 @@ def main(argv=None) -> int:
         "--cluster",
         default=None,
         metavar="ADDR",
-        help="execute sweeps over the cluster backend instead of the "
-        "local pool: 'inproc' (self-contained), or an 'inproc://name' / "
-        "'tcp://host:port' address where remote workers (python -m "
-        "repro.cluster.worker --connect ADDR) join (see docs/cluster.md)",
+        help="where the sweep coordinator listens: 'inproc' (the "
+        "self-contained --jobs path, also for single-spec rounds), or an "
+        "'inproc://name' / 'tcp://host:port' address where remote workers "
+        "(python -m repro.cluster.worker --connect ADDR) join (see "
+        "docs/cluster.md)",
     )
     parser.add_argument(
         "--resume",

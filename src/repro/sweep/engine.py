@@ -690,7 +690,7 @@ class SweepRunner:
         prediction at all there is no estimate.
         """
         now = self.telemetry.now()
-        running = {view.key: view for view in self.telemetry.workers.running()}
+        running = {v.key: v for v in self.telemetry.workers.running()}
         preds = [
             self.cost_model.predict(spec)
             for key, spec in unresolved.items()

@@ -185,7 +185,7 @@ class WorkerTable:
         return fresh
 
     def busy(self) -> int:
-        return sum(1 for v in self._views.values() if v.state == "busy")
+        return len(self.running())
 
     def running(self) -> List[WorkerView]:
         """The busy rows."""

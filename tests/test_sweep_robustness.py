@@ -1,10 +1,10 @@
 """Tests for the sweep engine's fault tolerance.
 
-Chaos executors registered here are inherited by the pool's worker
-processes (the pool forks), which lets these tests inject real worker
+Chaos executors registered here are inherited by the auto-workers'
+subprocesses (they fork), which lets these tests inject real worker
 crashes (``os._exit``), hangs (``time.sleep``) and deterministic
-exceptions, then assert the supervisor's retry/timeout/error-capture and
-checkpoint/resume behavior from the outside.
+exceptions, then assert the coordinator's retry/timeout/error-capture
+and checkpoint/resume behavior from the outside.
 """
 
 from __future__ import annotations
@@ -509,9 +509,9 @@ class TestAdaptiveWithFailures:
 
 
 class TestPoolLifecycle:
-    """One local worker pool per run()/run_adaptive() call.
+    """One set of auto-workers per run()/run_adaptive() call.
 
-    The first supervised round starts the workers, later rounds reuse
+    The first coordinated round starts the workers, later rounds reuse
     them, and the call stops them on its way out — also when it raises.
     """
 
