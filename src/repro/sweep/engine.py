@@ -1048,28 +1048,25 @@ class SweepRunner:
         """
         coord = self._ensure_coordinator(workers)
         tele = self.telemetry
-        specs_by_key: Dict[str, RunSpec] = dict(pending)
         unresolved: Dict[str, RunSpec] = dict(pending)
         jobs = [
             (key, spec, self._job_width(_Job(key, spec)))
             for key, spec in pending
         ]
-        progress = {"total": len(pending), "done": 0}
+        total, done = len(pending), 0
 
         def on_resolved(key, out):
-            unresolved.pop(key, None)
-            progress["done"] += 1
-            extras = resolve(key, out)
+            nonlocal total, done
+            extras = resolve(key, unresolved.pop(key), out)
             if extras:
-                progress["total"] += len(extras)
+                total += len(extras)
                 unresolved.update((k, s) for k, s, _width in extras)
-            done = progress["done"]
+            done += 1
             if done % 25 == 0:
-                self._log(f"{done}/{progress['total']} resolved")
+                self._log(f"{done}/{total} resolved")
             return extras
 
-        def resolve(key, out):
-            spec = specs_by_key[key]
+        def resolve(key, spec, out):
             job = _Job(key, spec, attempts=max(out.attempts - 1, 0))
             tele.registry.merge(out.snap)
             if out.status == "ok":
@@ -1091,7 +1088,6 @@ class SweepRunner:
                 extras = []
                 for member_key, member_spec in members:
                     self._batch_reason[member_key] = "batch-failed"
-                    specs_by_key[member_key] = member_spec
                     extras.append((member_key, member_spec, 1))
                 return extras
             if out.status == "exception":
