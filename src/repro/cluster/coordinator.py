@@ -25,6 +25,9 @@ split:
 * **graceful degradation**: zero live workers parks the sweep (logged,
   resumable) instead of aborting, and a worker joining mid-sweep is
   granted leases immediately;
+* **placement**: each queued cell, in the engine's longest-first
+  order, goes to the worker holding the fewest leases, one ``lease``
+  frame per cell, up to ``capacity * BACKLOG_FACTOR`` leases a worker;
 * **work stealing**: when the queue drains, an idle worker steals an
   *unstarted* lease from the slowest backlogged worker's tail.
 
@@ -39,18 +42,6 @@ slot of each registered worker, busy while a lease runs there, with the
 run's heartbeats.  The table's straggler check is the only one.  The
 dispatch loop blocks on one wake-up event that every connection and the
 listener set on arrival, so an idle coordinator costs nothing.
-
-The **dispatch fast lane** layers two throughput optimisations over
-that machinery without touching any of its invariants:
-
-* leases are granted in **batches** (up to ``prefetch`` per frame, as
-  ``lease_batch``) so a worker's backlog refills in one round-trip;
-* placement is **spec-aware**: per-worker throughput EWMAs — the cost
-  model's wall-time predictions scored against observed walls, with a
-  completion-rate fallback — rank workers fastest-first, and since the
-  engine submits cells longest-first, the head of the queue (the
-  longest work) lands on the fastest host.  Work stealing stays as the
-  escape hatch when the ranking is wrong.
 """
 
 from __future__ import annotations
@@ -69,21 +60,8 @@ from repro.sweep.spec import RunSpec
 from repro.telemetry import Telemetry
 
 #: How many leases a worker may hold per capacity slot (the extra is
-#: the prefetch backlog that work stealing later raids).
+#: the backlog that work stealing later raids).
 BACKLOG_FACTOR = 2
-
-#: Default cap on leases granted per frame by the fast lane's batched
-#: grant (``lease_batch``); the per-worker backlog bound stays
-#: ``capacity * BACKLOG_FACTOR`` regardless.
-PREFETCH = 8
-
-#: EWMA weight of the newest per-worker speed observation.
-SPEED_ALPHA = 0.3
-
-#: Throughput-factor clamp: one wild outlier (cold import, page cache)
-#: must not park a worker at the back of the placement order forever.
-SPEED_CLAMP = (0.05, 20.0)
-
 
 #: Default multiple of the per-run timeout after which a *started*
 #: lease expires (the run timeout is the worker's kill budget; the
@@ -171,13 +149,6 @@ class _Remote:
     last_seen: float = 0.0
     leases: Dict[str, _Lease] = field(default_factory=dict)
     results_done: int = 0
-    #: Throughput factor EWMA: cost-model expectation / observed wall
-    #: (>1 = faster than the model; placement ranks by it).
-    speed: float = 1.0
-    speed_samples: int = 0
-    #: Observed per-replicate wall EWMA — the completion-rate fallback
-    #: signal when the cost model has no expectation yet.
-    wall_ewma: Optional[float] = None
     #: WorkerTable rows of this worker's slots, and those not running
     #: a lease.
     rows: List[int] = field(default_factory=list)
@@ -223,12 +194,11 @@ class ClusterCoordinator:
         in-flight duplicate results from reclaimed-but-alive leases so
         they are counted (and suppressed) rather than orphaned.
     cost_model:
-        Optional :class:`~repro.sweep.cost.CostModel` for straggler
-        yardsticks and spec-aware placement.
+        Optional :class:`~repro.sweep.cost.CostModel`; its prediction
+        for a started lease's spec becomes the row's expected wall
+        time, which the straggler check and the sweep's ETA read.
     seed:
         Seeds the backoff jitter — scheduling only, never results.
-    prefetch:
-        Cap on leases granted per ``lease_batch`` frame.
     """
 
     def __init__(
@@ -245,7 +215,6 @@ class ClusterCoordinator:
         cost_model=None,
         seed: int = 0,
         log: Optional[Callable[..., None]] = None,
-        prefetch: int = PREFETCH,
     ) -> None:
         if max_attempts < 1:
             raise ConfigurationError(
@@ -255,8 +224,6 @@ class ClusterCoordinator:
             raise ConfigurationError(
                 f"retry_backoff must be >= 0, got {retry_backoff}"
             )
-        if prefetch < 1:
-            raise ConfigurationError(f"prefetch must be >= 1, got {prefetch}")
         self.listener = comm.listen(address)
         self.address = self.listener.address
         #: Set by every connection and the listener on arrival; the
@@ -283,7 +250,6 @@ class ClusterCoordinator:
         self.liveness_timeout = liveness_timeout
         self.drain_timeout = drain_timeout
         self.cost_model = cost_model
-        self.prefetch = int(prefetch)
         self._rng = random.Random(seed)
         self._log = log or (lambda message, kind="info": None)
         self._lease_ids = itertools.count(1)
@@ -295,9 +261,6 @@ class ClusterCoordinator:
         #: rescans iterate this instead of the whole worker table.
         self._leased: Set[str] = set()
         self._held_count = 0
-        #: Fleet-wide per-replicate wall EWMA (the yardstick of the
-        #: completion-rate placement fallback).
-        self._wall_ewma: Optional[float] = None
         #: Connections accepted but not yet registered.
         self._pending_conns: List[comm.Connection] = []
         #: Connections of lost-but-possibly-returning workers, still
@@ -362,23 +325,6 @@ class ClusterCoordinator:
         self._m_parked = reg.counter(
             "cluster_parked_total",
             "Dispatch-loop intervals spent parked with zero live workers",
-        )
-        self._m_frames = reg.counter(
-            "dispatch_frames_total",
-            "Grant frames sent to cluster workers (lease and lease_batch)",
-        )
-        self._m_roundtrips_saved = reg.counter(
-            "dispatch_roundtrips_saved_total",
-            "Extra leases piggybacked on batched grant frames "
-            "(grants minus grant messages)",
-        )
-        self._m_placements = reg.counter(
-            "dispatch_placements_total",
-            "Leases placed by the dispatch path",
-        )
-        self._m_placement_informed = reg.counter(
-            "dispatch_placement_informed_total",
-            "Leases placed with a per-worker throughput estimate in hand",
         )
 
     # -- worker bookkeeping ---------------------------------------------
@@ -623,8 +569,6 @@ class ClusterCoordinator:
                 lease = found
                 worker.results_done += 1
                 self._lease_removed(worker, found)
-                if message.get("ok") and wall > 0:
-                    self._observe_speed(worker, found, wall)
         self._update_held()
         if cell_key not in self._unresolved:
             # Late duplicate of an already-committed cell (the reclaim
@@ -677,58 +621,6 @@ class ClusterCoordinator:
                 message=str(payload.get("message") or "remote failure"),
             )
 
-    def _observe_speed(
-        self, worker: _Remote, lease: _Lease, wall: float
-    ) -> None:
-        """Fold one completed lease into the worker's throughput EWMAs.
-
-        Two signals, per the placement design: the cost model's wall-time
-        expectation scored against the observed wall (the primary
-        throughput factor), and the raw per-replicate wall (the
-        completion-rate fallback used before the model knows the spec).
-        Scheduling-only state — it can never change what is computed.
-        """
-        width = max(lease.cell.width, 1)
-        per_rep = wall / width
-        if worker.wall_ewma is None:
-            worker.wall_ewma = per_rep
-        else:
-            worker.wall_ewma = (
-                (1.0 - SPEED_ALPHA) * worker.wall_ewma + SPEED_ALPHA * per_rep
-            )
-        if self._wall_ewma is None:
-            self._wall_ewma = per_rep
-        else:
-            self._wall_ewma = (
-                (1.0 - SPEED_ALPHA) * self._wall_ewma + SPEED_ALPHA * per_rep
-            )
-        expected = (
-            self.cost_model.predict(lease.cell.spec)
-            if self.cost_model is not None
-            else None
-        )
-        if expected is None or expected <= 0:
-            return
-        lo, hi = SPEED_CLAMP
-        ratio = min(max(expected / wall, lo), hi)
-        if worker.speed_samples == 0:
-            worker.speed = ratio
-        else:
-            worker.speed = (
-                (1.0 - SPEED_ALPHA) * worker.speed + SPEED_ALPHA * ratio
-            )
-        worker.speed_samples += 1
-
-    def _worker_speed(self, worker: _Remote) -> float:
-        """Placement rank: model-scored EWMA, else completion-rate
-        fallback against the fleet-wide wall EWMA, else neutral 1.0."""
-        if worker.speed_samples:
-            return worker.speed
-        if worker.wall_ewma and self._wall_ewma:
-            lo, hi = SPEED_CLAMP
-            return min(max(self._wall_ewma / worker.wall_ewma, lo), hi)
-        return 1.0
-
     def _find_cell(self, cell_key: str) -> Optional[_Cell]:
         for cell in self._queue:
             if cell.key == cell_key:
@@ -777,7 +669,7 @@ class ClusterCoordinator:
         elif mtype == protocol.MSG_STARTED:
             lease = worker.leases.get(message.get("lease"))
             if lease is not None and not lease.started:
-                self._start(worker, lease, now)
+                self._start(worker, lease, now, message.get("pid"))
         elif mtype == protocol.MSG_RESULT:
             self._handle_result(worker, message)
         elif mtype == protocol.MSG_REVOKED:
@@ -802,8 +694,11 @@ class ClusterCoordinator:
             self._lose_worker(worker, reason="goodbye")
         return worker
 
-    def _start(self, worker: _Remote, lease: _Lease, now: float) -> None:
-        """A lease's run began: arm its deadline and show it in a row."""
+    def _start(
+        self, worker: _Remote, lease: _Lease, now: float, pid: Optional[int]
+    ) -> None:
+        """A lease's run began: arm its deadline and show it in a row,
+        under the pid of the process running it."""
         lease.started_at = now
         # The worker won any in-flight steal race: a started lease is
         # never handed back.
@@ -830,6 +725,7 @@ class ClusterCoordinator:
                 if self.cost_model is not None
                 else None
             ),
+            pid=pid,
         )
 
     def _accept(self, now: float) -> bool:
@@ -994,60 +890,45 @@ class ClusterCoordinator:
             )
 
     def _grant(self, now: float) -> None:
-        """Hand queued cells to workers, fastest host first.
+        """Hand queued cells to the least-loaded workers, one ``lease``
+        frame per cell.
 
-        The engine submits cells cost-ordered longest-first, so ranking
-        workers by throughput makes the head of the queue (the longest
-        outstanding work) land on the fastest host — the longest-cell-to-
-        fastest-host placement — without any per-cell scan.
+        The engine submits cells cost-ordered longest-first, so the head
+        of the queue goes to the worker holding the fewest leases; no
+        worker holds more than ``capacity * BACKLOG_FACTOR``.
         """
         if not self._queue or not self._workers:
             return
-        workers = sorted(
-            self._workers.values(),
-            key=lambda w: (-self._worker_speed(w), len(w.leases), w.name),
-        )
-        drained = False
-        for worker in workers:
-            if drained:
+        while True:
+            open_workers = [
+                w
+                for w in self._workers.values()
+                if len(w.leases) < w.capacity * BACKLOG_FACTOR
+            ]
+            if not open_workers:
                 break
-            room = worker.capacity * BACKLOG_FACTOR - len(worker.leases)
-            while room > 0 and not drained:
-                batch_cap = min(room, self.prefetch)
-                cells: List[_Cell] = []
-                while len(cells) < batch_cap:
-                    cell = self._next_ready(now)
-                    if cell is None:
-                        drained = True
-                        break
-                    cells.append(cell)
-                if not cells:
-                    break
-                granted = self._send_grants(worker, cells, now)
-                room -= granted
-                if granted < len(cells):
-                    break  # dead conn; liveness check reaps it
+            cell = self._next_ready(now)
+            if cell is None:
+                break
+            worker = min(open_workers, key=lambda w: (len(w.leases), w.name))
+            if not self._send_lease(worker, cell, now):
+                break  # dead conn; liveness check reaps it
         self._update_held()
 
-    def _send_grants(
-        self, worker: _Remote, cells: List[_Cell], now: float
-    ) -> int:
-        """Ship one grant frame carrying ``cells`` to ``worker``;
-        returns how many leases stuck.  On a send failure every cell
-        goes back to the queue head and the answer is 0 — the liveness
-        check reaps the dead connection."""
-        bodies: List[Dict[str, Any]] = []
-        leases: List[_Lease] = []
-        informed = worker.speed_samples > 0
-        for cell in cells:
-            lease = _Lease(
-                lease_id=f"L{next(self._lease_ids)}",
-                cell=cell,
-                worker=worker.name,
-                granted=now,
-            )
-            bodies.append(
+    def _send_lease(self, worker: _Remote, cell: _Cell, now: float) -> bool:
+        """Ship one ``lease`` frame for ``cell`` to ``worker``.  On a
+        send failure the cell goes back to the queue head and the answer
+        is False — the liveness check reaps the dead connection."""
+        lease = _Lease(
+            lease_id=f"L{next(self._lease_ids)}",
+            cell=cell,
+            worker=worker.name,
+            granted=now,
+        )
+        try:
+            worker.conn.send(
                 {
+                    "type": protocol.MSG_LEASE,
                     "lease": lease.lease_id,
                     "key": cell.key,
                     "width": cell.width,
@@ -1055,28 +936,14 @@ class ClusterCoordinator:
                     "spec": protocol.spec_to_wire(cell.spec),
                 }
             )
-            leases.append(lease)
-        if len(bodies) == 1:
-            frame = {"type": protocol.MSG_LEASE, **bodies[0]}
-        else:
-            frame = {"type": protocol.MSG_LEASE_BATCH, "leases": bodies}
-            self._m_roundtrips_saved.inc(len(bodies) - 1)
-        try:
-            worker.conn.send(frame)
         except comm.ClusterError:
             # Nothing was leased; a frame that did land anyway is
             # resolved by duplicate-lease suppression.
-            for cell in reversed(cells):
-                self._queue.appendleft(cell)
-            return 0
-        self._m_frames.inc()
-        for lease in leases:
-            self._lease_added(worker, lease)
-            self._m_granted.inc()
-        self._m_placements.inc(len(leases))
-        if informed:
-            self._m_placement_informed.inc(len(leases))
-        return len(leases)
+            self._queue.appendleft(cell)
+            return False
+        self._lease_added(worker, lease)
+        self._m_granted.inc()
+        return True
 
     def _next_ready(self, now: float) -> Optional[_Cell]:
         """Pop the first queued cell whose backoff has elapsed; leaves
@@ -1258,5 +1125,4 @@ __all__ = [
     "ClusterCoordinator",
     "ExecuteReport",
     "LeaseOutcome",
-    "PREFETCH",
 ]

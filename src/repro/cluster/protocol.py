@@ -5,7 +5,8 @@ key.  The full protocol (see ``docs/cluster.md`` for the lifecycle):
 
 Worker → coordinator
     ``register``   name, capacity, pid, and the worker's execution mode.
-    ``started``    a leased run began executing (arms the lease deadline).
+    ``started``    a leased run began executing (arms the lease deadline);
+                   carries the pid of the process running it.
     ``result``     lease outcome: ``ok`` + metrics payload (or a captured
                    exception), wall seconds, optional telemetry snapshot.
     ``heartbeat``  periodic liveness ping with per-lease elapsed times.
@@ -17,9 +18,8 @@ Coordinator → worker
                    heartbeat interval, telemetry on/off).
     ``lease``      one cell to execute: lease id, cache key, replicate
                    width, per-run timeout, and the spec's wire form
-                   (``"spec"``, see :func:`spec_to_wire`).
-    ``lease_batch``  several leases in one frame (batched grant); each
-                   entry is one ``lease`` body.
+                   (``"spec"``, see :func:`spec_to_wire`).  One frame
+                   per lease.
     ``revoke``     return an *unstarted* lease (work stealing).
     ``shutdown``   sweep over; the worker loop exits.
 
@@ -42,7 +42,6 @@ from repro.sweep.spec import RunSpec
 MSG_REGISTER = "register"
 MSG_WELCOME = "welcome"
 MSG_LEASE = "lease"
-MSG_LEASE_BATCH = "lease_batch"
 MSG_REVOKE = "revoke"
 MSG_REVOKED = "revoked"
 MSG_STARTED = "started"
@@ -109,7 +108,6 @@ __all__ = [
     "MSG_GOODBYE",
     "MSG_HEARTBEAT",
     "MSG_LEASE",
-    "MSG_LEASE_BATCH",
     "MSG_REGISTER",
     "MSG_RESULT",
     "MSG_REVOKE",

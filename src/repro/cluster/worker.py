@@ -55,6 +55,12 @@ from repro.cluster import comm, protocol
 #: threads (the registry hook is process-global).
 _TELEMETRY_LOCK = threading.Lock()
 
+#: Serializes subprocess starts across executor threads.  A child
+#: forked while another start is under way inherits that start's pipe
+#: end and exit sentinel, and then the other subprocess's death never
+#: shows on either: its executor would wait forever.
+_SPAWN_LOCK = threading.Lock()
+
 
 def _execute(spec, builder, metered: bool):
     """Run one spec; returns ``(ok, payload, snap)``.
@@ -309,11 +315,6 @@ class ClusterWorker:
             with self._lock:
                 self._leases.append(message)
                 self._lease_cv.notify()
-        elif mtype == protocol.MSG_LEASE_BATCH:
-            bodies = message.get("leases") or []
-            with self._lock:
-                self._leases.extend(bodies)
-                self._lease_cv.notify_all()
         elif mtype == protocol.MSG_REVOKE:
             lease_id = message.get("lease")
             with self._lock:
@@ -365,12 +366,13 @@ class ClusterWorker:
     def _spawn_proc():
         import multiprocessing
 
-        parent, child = multiprocessing.Pipe()
-        proc = multiprocessing.Process(
-            target=_worker_main, args=(child,), daemon=True
-        )
-        proc.start()
-        child.close()
+        with _SPAWN_LOCK:
+            parent, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_worker_main, args=(child,), daemon=True
+            )
+            proc.start()
+            child.close()
         return proc, parent
 
     @staticmethod
@@ -396,12 +398,20 @@ class ClusterWorker:
         proc.join(timeout=5.0)
         pipe.close()
 
+    def _live_proc(self, state: Dict[str, Any]):
+        """This slot's subprocess, started anew if it has none or it
+        died."""
+        if state["proc"] is None or not state["proc"].is_alive():
+            self._stop_proc(state, graceful=False)  # reap a dead one
+            state["proc"], state["pipe"] = self._spawn_proc()
+        return state["proc"]
+
     def _execute_isolated(
         self, state: Dict[str, Any], key: str, wire: Any,
         timeout: Optional[float], width: int,
     ):
-        """Run a lease's spec in this slot's subprocess, which decodes
-        it (see :func:`_worker_main`).
+        """Run a lease's spec in this slot's subprocess (started by
+        :meth:`_live_proc`), which decodes it (see :func:`_worker_main`).
 
         A dead subprocess is a ``crash``; one past ``timeout * width``
         is killed and reported as a ``timeout``; either way the next
@@ -411,9 +421,6 @@ class ClusterWorker:
         """
         from multiprocessing.connection import wait
 
-        if state["proc"] is None or not state["proc"].is_alive():
-            self._stop_proc(state, graceful=False)  # reap a dead one
-            state["proc"], state["pipe"] = self._spawn_proc()
         proc, pipe = state["proc"], state["pipe"]
         with self._lock:
             if not self._running:
@@ -515,9 +522,13 @@ class ClusterWorker:
                 active = _ActiveRun(lease_id, key)
                 with self._lock:
                     self._active[lease_id] = active
+                pid = (
+                    self._live_proc(state).pid if self.isolate
+                    else os.getpid()
+                )
                 self._post(
                     {"type": protocol.MSG_STARTED, "lease": lease_id,
-                     "key": key}
+                     "key": key, "pid": pid}
                 )
                 if self.chaos is not None:
                     stall = self.chaos.stall_before(run_index)

@@ -153,20 +153,9 @@ class Dashboard:
                 + _counter(metrics, "sweep_resumed_total"),
                 strag=snap["stragglers"],
             ),
-        ]
-        if _counter(metrics, "dispatch_frames_total"):
-            lines.append(
-                "dispatch: frames {frames:.0f}  batched {batched:.0f}".format(
-                    frames=_counter(metrics, "dispatch_frames_total"),
-                    batched=_counter(
-                        metrics, "dispatch_roundtrips_saved_total"
-                    ),
-                )
-            )
-        lines.append(
             f"{'id':>3} {'pid':>7} {'state':<6} {'run':<12} "
-            f"{'att':>3} {'w':>3} {'elapsed':>8} {'hb age':>7}  flag"
-        )
+            f"{'att':>3} {'w':>3} {'elapsed':>8} {'hb age':>7}  flag",
+        ]
         for worker in snap["workers"]:
             key = (worker["key"] or "")[:12]
             age = worker["heartbeat_age"]

@@ -19,6 +19,7 @@ extends that deadline (regression-tested in
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -101,6 +102,7 @@ class WorkerTable:
     def __init__(self) -> None:
         self._views: Dict[int, WorkerView] = {}
         self._next_ident = 0
+        self._inline: Optional[int] = None
         self.stragglers_flagged = 0
 
     def spawn(self, pid: Optional[int]) -> int:
@@ -111,11 +113,11 @@ class WorkerTable:
         return ident
 
     def inline(self) -> int:
-        """The single pseudo-worker of an in-process (jobs=1) sweep."""
-        if 0 not in self._views:
-            self._views[0] = WorkerView(ident=0, pid=None)
-            self._next_ident = max(self._next_ident, 1)
-        return 0
+        """The row of runs executed in the sweep's own process, made on
+        first use; it never shares an ident with a spawned slot."""
+        if self._inline is None:
+            self._inline = self.spawn(os.getpid())
+        return self._inline
 
     def view(self, ident: int) -> WorkerView:
         return self._views[ident]
@@ -129,8 +131,13 @@ class WorkerTable:
         width: int,
         now: float,
         expected: Optional[float] = None,
+        pid: Optional[int] = None,
     ) -> None:
+        """Show a started run on row ``ident``; ``pid`` (when known) is
+        the process running it."""
         view = self._views[ident]
+        if pid is not None:
+            view.pid = pid
         view.state = "busy"
         view.key = key
         view.label = label

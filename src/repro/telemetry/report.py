@@ -306,29 +306,6 @@ def _scheduler_table(manifest: Optional[Dict[str, Any]]) -> str:
     )
 
 
-def _dispatch_cards(final: Dict[str, Any]) -> str:
-    """Dispatch fast-lane counters, shown only when the path ran."""
-    frames = _counter_value(final, "dispatch_frames_total")
-    if not frames:
-        return ""
-    shown = [
-        ("dispatch_frames_total", "dispatch frames"),
-        ("dispatch_roundtrips_saved_total", "round-trips saved"),
-        ("dispatch_placements_total", "placements"),
-        ("dispatch_placement_informed_total", "informed placements"),
-    ]
-    cells = "".join(
-        f'<div class="card"><div class="t">{label}</div>'
-        f'<div class="v">{_counter_value(final, name):.0f}</div></div>'
-        for name, label in shown
-        if _counter_value(final, name)
-    )
-    return (
-        "<h2>Dispatch fast lane</h2>"
-        f'<div class="cards">{cells}</div>'
-    )
-
-
 def _worker_table(snaps: Sequence[Dict[str, Any]]) -> str:
     rows_by_ident: Dict[int, Dict[str, Any]] = {}
     for snap in snaps:
@@ -441,7 +418,6 @@ package version {html.escape(str(version))}</p>
 {_summary_cards(manifest)}
 <h2>Timelines</h2>
 <div class="cards">{cards}</div>
-{_dispatch_cards(final)}
 <h2>Run duration distribution</h2>
 {hist_svg}
 <h2>Per-scheduler results</h2>

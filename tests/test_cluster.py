@@ -338,6 +338,48 @@ class TestCoordinator:
         assert len(started) == 1
         assert [proc.exitcode for proc in started] == [0]
 
+    def test_subprocess_death_shows_despite_a_concurrent_start(
+        self, monkeypatch
+    ):
+        """Two executor slots starting subprocesses at once: the second
+        child must not inherit the first one's pipe end and sentinel, or
+        the first one's death would never show to its executor."""
+        from multiprocessing.connection import wait
+
+        from repro.cluster.worker import ClusterWorker
+
+        real_fork = os.fork
+        other = {}
+
+        def start_other():
+            other["spawned"] = ClusterWorker._spawn_proc()
+
+        def fork():
+            pid = real_fork()
+            if pid and "thread" not in other:
+                # The first start, between its fork and its cleanup:
+                # another slot starts a subprocess now (or as soon as
+                # it may).
+                other["thread"] = threading.Thread(target=start_other)
+                other["thread"].start()
+                other["thread"].join(0.5)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        proc, pipe = ClusterWorker._spawn_proc()
+        other["thread"].join(10.0)
+        other_proc, other_pipe = other["spawned"]
+        try:
+            proc.kill()
+            assert wait([pipe, proc.sentinel], timeout=5.0)
+        finally:
+            other_pipe.send(None)
+            for p in (proc, other_proc):
+                p.join(5.0)
+            pipe.close()
+            other_pipe.close()
+        assert other_proc.exitcode == 0
+
     def test_closed_coordinator_rejects_execute(self):
         coord = self._coordinator("t-closed-exec")
         coord.close()

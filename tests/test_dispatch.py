@@ -3,11 +3,11 @@
 Covers the lease spec wire form (:func:`repro.cluster.protocol.spec_to_wire`
 / :func:`~repro.cluster.protocol.spec_from_wire`) with Hypothesis
 round-trip and fuzz properties, the worker's lease-key check, RunSpec key
-memoization, batched leasing + spec-aware placement in the cluster
-coordinator, the framed TCP protocol's malformed-input behavior (typed
-error, never a hang), and the bit-identity of every dispatch path
-(``jobs=2``, a run timeout, inproc and TCP clusters) against serial
-through the real sweep engine.
+memoization, the cluster coordinator's grants (one ``lease`` frame per
+cell, to the least-loaded worker) and two-phase revoke, the framed TCP
+protocol's malformed-input behavior (typed error, never a hang), and the
+bit-identity of every dispatch path (``jobs=2``, a run timeout, inproc
+and TCP clusters) against serial through the real sweep engine.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.cluster.coordinator import (
 from repro.cluster.worker import start_worker_thread
 from repro.sweep import AdaptivePolicy, RunSpec, SweepRunner, is_error_result
 from repro.sweep.registry import executor
-from repro.telemetry import Telemetry
 
 #: Seeds of every spec the ``dispatch_echo`` executor ran in this
 #: process (inline cluster workers run on threads here).
@@ -52,10 +51,6 @@ def _spec(value, **extra):
         kind="dispatch_echo", params={"value": value, **extra},
         metrics=("value",), seed=value,
     )
-
-
-def _metric(telemetry, name) -> float:
-    return telemetry.registry.get(name).value
 
 
 # -- RunSpec key memoization (satellite: computed once per object) -----
@@ -246,7 +241,7 @@ class TestFramedProtocolRobustness:
             listener.close()
 
 
-# -- batched leasing + placement ---------------------------------------
+# -- lease grants, placement and revoke --------------------------------
 class _FrameSink:
     """A fake worker connection collecting every frame sent to it."""
 
@@ -263,27 +258,12 @@ class _FrameSink:
 
 
 class TestBatchedLeasing:
-    def test_batched_grants_save_roundtrips(self):
-        tele = Telemetry(enabled=True)
-        coord = ClusterCoordinator(
-            "inproc://t-batch-grant", telemetry=tele
-        )
-        worker = start_worker_thread(
-            coord.address, name="w0", capacity=2
-        )
-        specs = [_spec(v) for v in range(8)]
-        try:
-            report = coord.execute([(s.key(), s, 1) for s in specs])
-        finally:
-            coord.close()
-            worker.stop()
-        assert len(report.outcomes) == 8
-        assert all(o.status == "ok" for o in report.outcomes.values())
-        assert _metric(tele, "dispatch_roundtrips_saved_total") > 0
-        assert _metric(tele, "dispatch_frames_total") > 0
+    """Grants, placement and revoke.  (The name is from the batched
+    ``lease_batch`` grants, since deleted: every grant frame is one
+    ``lease``.)"""
 
     def test_batched_lease_revoke_still_two_phase(self):
-        """A lease granted in a batch is still individually revocable."""
+        """A granted lease is revocable on its own, in two phases."""
         coord = ClusterCoordinator("inproc://t-batch-revoke")
         sink = _FrameSink()
         worker = _Remote(name="w0", conn=sink, capacity=2)
@@ -296,16 +276,11 @@ class TestBatchedLeasing:
         coord._report = ExecuteReport()
         try:
             coord._grant(time.monotonic())
-            grant_frames = [
-                f for f in sink.frames
-                if f["type"] in (protocol.MSG_LEASE, protocol.MSG_LEASE_BATCH)
-            ]
-            assert any(
-                f["type"] == protocol.MSG_LEASE_BATCH for f in grant_frames
-            )
+            frame_types = [f["type"] for f in sink.frames]
+            assert frame_types == [protocol.MSG_LEASE] * 4
             assert len(worker.leases) == 4
-            # Revoke one batched lease: two-phase — nothing requeues
-            # until the worker confirms with MSG_REVOKED.
+            # Revoke one lease: two-phase — nothing requeues until the
+            # worker confirms with MSG_REVOKED.
             lease = list(worker.leases.values())[-1]
             lease.revoking = True
             assert not coord._queue
@@ -320,32 +295,42 @@ class TestBatchedLeasing:
         finally:
             coord.close()
 
-    def test_placement_prefers_fast_worker_for_head_cell(self):
-        """Longest-first queue + fastest-first ranking = longest cell on
-        the fastest host."""
-        coord = ClusterCoordinator("inproc://t-placement", prefetch=1)
-        slow, fast = _FrameSink(), _FrameSink()
-        w_slow = _Remote(name="slow", conn=slow, capacity=1,
-                         speed=0.2, speed_samples=3)
-        w_fast = _Remote(name="fast", conn=fast, capacity=1,
-                         speed=5.0, speed_samples=3)
-        coord._workers = {"slow": w_slow, "fast": w_fast}
+    def test_head_of_queue_goes_to_least_loaded_worker(self):
+        """The head of the queue (the longest cell: the engine orders
+        cells longest-first) goes to the worker holding the fewest
+        leases, however fast either worker finished its earlier runs."""
+        coord = ClusterCoordinator("inproc://t-placement")
+        busy_sink, idle_sink = _FrameSink(), _FrameSink()
+        busy = _Remote(name="busy", conn=busy_sink, capacity=1)
+        idle = _Remote(name="idle", conn=idle_sink, capacity=1)
+        coord._workers = {"busy": busy, "idle": idle}
         cells = [_Cell(key=s.key(), spec=s)
-                 for s in (_spec(v) for v in range(2))]
-        coord._queue = deque(cells)  # head = longest (engine pre-orders)
+                 for s in (_spec(v) for v in range(4))]
+        finished, held, head = cells[:2], cells[2], cells[3]
+        coord._report = ExecuteReport()
+        coord._queue = deque()
         coord._unresolved = {c.key for c in cells}
         coord._cells = {c.key: c for c in cells}
-        coord._report = ExecuteReport()
+        coord._on_resolved = None
         try:
+            # One earlier run each: "busy" took 1 ms, "idle" 1 s.
+            for worker, cell, wall in ((busy, finished[0], 0.001),
+                                       (idle, finished[1], 1.0)):
+                lease = _Lease(lease_id=f"L-{worker.name}", cell=cell,
+                               worker=worker.name, granted=0.0)
+                coord._lease_added(worker, lease)
+                coord._handle_result(worker, {
+                    "lease": lease.lease_id, "key": cell.key, "ok": True,
+                    "payload": {"value": 0.0}, "wall": wall,
+                })
+            coord._lease_added(busy, _Lease(lease_id="L-held", cell=held,
+                                            worker="busy", granted=0.0))
+            coord._queue = deque([head])
             coord._grant(time.monotonic())
-            head_key = cells[0].key
-            fast_leases = [f for f in fast.frames
-                           if f["type"] == protocol.MSG_LEASE]
-            assert fast_leases and fast_leases[0]["key"] == head_key
-            assert all(
-                f["key"] != head_key for f in slow.frames
-                if f.get("type") == protocol.MSG_LEASE
-            )
+            assert [(f["type"], f["key"]) for f in idle_sink.frames] == [
+                (protocol.MSG_LEASE, head.key)
+            ]
+            assert busy_sink.frames == []
         finally:
             coord.close()
 

@@ -597,6 +597,45 @@ class TestWatchOnTheCoordinator:
         err = capsys.readouterr().err
         assert "25/32 resolved" in err
 
+    def test_rows_show_the_pids_of_their_subprocesses(self, tmp_path):
+        """Each auto-worker row shows the pid of the subprocess running
+        its leases, not the sweep process's."""
+        tele = Telemetry(label="pids", enabled=True)
+        runner = SweepRunner(
+            jobs=2, use_cache=False, progress=False,
+            cache_dir=tmp_path / "cache", label="pids", telemetry=tele,
+        )
+        try:
+            runner.run(_sim_specs())  # four specs over two auto-workers
+        finally:
+            runner.close()
+        pop_stats()
+        pids = {tele.workers.view(ident).pid for ident in (0, 1)}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_inline_round_gets_a_row_of_its_own(self, tmp_path):
+        """A serial run after a coordinated one shows on its own row; the
+        auto-workers' rows stay retired with their counts."""
+        tele = Telemetry(label="rows", enabled=True)
+        runner = SweepRunner(
+            jobs=2, use_cache=False, progress=False,
+            cache_dir=tmp_path / "cache", label="rows", telemetry=tele,
+        )
+        try:
+            runner.run(_sim_specs())  # four specs: coordinated
+            slots = [tele.workers.view(ident) for ident in (0, 1)]
+            before = [(view.state, view.runs_done) for view in slots]
+            runner.run(_sim_specs(seeds=(2,), schedulers=("rws",)))  # inline
+        finally:
+            runner.close()
+        pop_stats()
+        assert [state for state, _ in before] == ["retired", "retired"]
+        assert sum(done for _, done in before) == 4
+        assert [(view.state, view.runs_done) for view in slots] == before
+        inline = tele.workers.view(tele.workers.inline())
+        assert inline.ident not in (0, 1)
+        assert (inline.state, inline.runs_done) == ("idle", 1)
+
 
 class TestReport:
     @pytest.fixture(scope="class")
