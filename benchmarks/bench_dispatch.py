@@ -6,13 +6,13 @@ only in their seed — serially and through each dispatch mode (``pool``:
 TCP coordinator with two in-thread workers), ``REPEATS`` times each,
 and reports per mode the median and quartiles of wall clock and
 per-cell overhead.  ``pool`` and ``inproc`` time one path: both run
-through the coordinator with two auto-workers, each driving one
-subprocess (the supervised pool the ``pool`` mode once timed is
-deleted), so their difference is host noise.  The modes take turns
+through the coordinator with two auto-workers, each a worker process
+the coordinator forks (the supervised pool the ``pool`` mode once timed
+is deleted), so their difference is host noise.  The modes take turns
 within each repetition, in alternating order, so a slow spell of a
 shared host lands on all of them rather than on whichever ran last.
 Every sweep builds a fresh runner, so the ``pool`` and ``inproc``
-figures include starting and stopping their two worker subprocesses.
+figures include starting and stopping their two worker processes.
 
 Each sweep's metrics are asserted **bit-identical** to the serial
 reference run before any timing is reported: dispatch is transport and
@@ -102,7 +102,6 @@ def _make_runner(mode: str, label: str) -> Tuple[SweepRunner, List[Any]]:
                 coord.address,
                 name=f"bench-{i}",
                 capacity=1,
-                isolate=False,
                 reconnect_timeout=10.0,
             )
             for i in range(JOBS)

@@ -14,9 +14,11 @@ lease expiry, reclaim, retry budgets and exactly-once commit:
   silence), reclaims and retries with backoff + jitter, steals tail
   cells from backlogged workers, parks on zero workers;
 * :mod:`repro.cluster.worker` — ``python -m repro.cluster.worker
-  --connect ADDR`` joins a coordinator, executes leases (inline or in
-  persistent subprocesses), streams results + heartbeats + telemetry
-  snapshots, survives coordinator restart by re-registering;
+  --connect ADDR --jobs N`` joins a coordinator with ``N`` worker
+  processes, which execute leases, stream results + heartbeats +
+  telemetry snapshots, and survive coordinator restart by
+  re-registering; the coordinator forks the same worker for its own
+  auto-workers;
 * :mod:`repro.cluster.chaos` — deterministic failure injection and the
   bit-identical-under-chaos acceptance proof.
 

@@ -17,7 +17,10 @@ same five-call surface — :func:`listen`, :func:`connect`,
     Real sockets via asyncio streams on a shared background event-loop
     thread.  Frames are length-prefixed (4-byte big-endian) UTF-8 JSON.
     Port ``0`` binds ephemerally; ``Listener.address`` reports the
-    bound port so tests can spawn workers against it.
+    bound port so tests can spawn workers against it.  :func:`adopt`
+    speaks the same framing over an already connected socket, such as
+    one end of a :func:`socket.socketpair` shared with a forked worker
+    process.
 
 Both transports deliver messages in FIFO order per connection and fail
 *loudly*: a peer that goes away surfaces as :class:`ConnectionClosed`
@@ -114,6 +117,10 @@ class Connection:
 
     def send(self, message: Dict[str, Any]) -> None:
         raise NotImplementedError
+
+    def flush(self) -> None:
+        """Return once every message sent so far has left this process
+        (``send`` already delivers in-process)."""
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """Next message; ``None`` on timeout (``timeout=None`` blocks)."""
@@ -326,6 +333,13 @@ class TcpConnection(Connection):
 
         self._io.loop.call_soon_threadsafe(_write)
 
+    def flush(self) -> None:
+        # The IO thread runs callbacks in order, so once this one has
+        # run, every earlier send has been written to the socket.
+        done = threading.Event()
+        self._io.loop.call_soon_threadsafe(done.set)
+        done.wait(10.0)
+
     def close(self) -> None:
         if self._closed.is_set():
             return
@@ -384,6 +398,24 @@ def _parse_host_port(rest: str) -> Tuple[str, int]:
     return host, port
 
 
+def adopt(sock) -> TcpConnection:
+    """A framed connection over the connected stream socket ``sock``
+    (see the module docs); the connection owns the socket from here."""
+    import asyncio
+
+    io = _AsyncLoop.get()
+    reader, writer = io.run(asyncio.open_connection(sock=sock))
+    return TcpConnection(io, reader, writer)
+
+
+def reset_after_fork() -> None:
+    """In a forked child: forget the parent's IO thread, which does not
+    exist here, so the first TCP connection starts one of its own."""
+    global _LOOP_LOCK, _LOOP_THREAD
+    _LOOP_LOCK = threading.Lock()
+    _LOOP_THREAD = None
+
+
 def _tcp_connect(rest: str, timeout: Optional[float]) -> Connection:
     import asyncio
 
@@ -434,6 +466,8 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "TcpConnection",
     "TcpListener",
+    "adopt",
     "connect",
     "listen",
+    "reset_after_fork",
 ]

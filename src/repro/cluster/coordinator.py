@@ -29,7 +29,12 @@ split:
   order, goes to the worker holding the fewest leases, one ``lease``
   frame per cell, up to ``capacity * BACKLOG_FACTOR`` leases a worker;
 * **work stealing**: when the queue drains, an idle worker steals an
-  *unstarted* lease from the slowest backlogged worker's tail.
+  *unstarted* lease from the slowest backlogged worker's tail;
+* **local worker processes**: :meth:`ClusterCoordinator.start_local_workers`
+  forks workers that speak to it over socketpairs.  It owns them: a lost
+  one is reaped (its started lease faults as a ``crash``) and, while
+  cells remain, replaced; one whose run passes the run timeout is
+  killed (a ``timeout``); :meth:`~ClusterCoordinator.close` stops them.
 
 Stragglers keep PR 7's contract: a slow-but-heartbeating run is flagged
 (``cluster_stragglers_total``) and *never* reclaimed early — only the
@@ -72,6 +77,11 @@ LEASE_TIMEOUT_FACTOR = 2.5
 #: purpose: heartbeats can stall while a run holds the GIL, and PR 7's
 #: contract is that silence alone never kills *early*.
 LIVENESS_INTERVALS = 20.0
+
+#: Seconds a lost local worker process gets to finish exiting before it
+#: is terminated, and an idle one to obey ``shutdown`` at close.
+LOST_GRACE = 1.0
+SHUTDOWN_GRACE = 5.0
 
 
 @dataclass
@@ -145,7 +155,6 @@ class _Remote:
     conn: comm.Connection
     capacity: int = 1
     pid: Optional[int] = None
-    mode: str = "inline"
     last_seen: float = 0.0
     leases: Dict[str, _Lease] = field(default_factory=dict)
     results_done: int = 0
@@ -156,6 +165,15 @@ class _Remote:
 
     def unstarted(self) -> List[_Lease]:
         return [l for l in self.leases.values() if not l.started]
+
+
+@dataclass
+class _Local:
+    """A worker process the coordinator forked, and its socketpair end."""
+
+    proc: Any  # multiprocessing.Process
+    sock: Any  # socket.socket, owned by ``conn``
+    conn: comm.Connection
 
 
 class ClusterCoordinator:
@@ -176,9 +194,9 @@ class ClusterCoordinator:
         backs off ``retry_backoff * 2**(n-1)`` seconds plus seeded
         jitter.
     run_timeout:
-        Per-run wall-clock budget shipped to workers with each lease
-        (isolating workers kill and report ``timeout``).  Also the
-        straggler yardstick when set.
+        Per-run wall-clock budget: a local worker process still running
+        a lease past it is killed and the run reported as a
+        ``timeout``.  Also the straggler yardstick when set.
     lease_timeout:
         Seconds (per replicate of width) after a lease *starts* before
         the coordinator expires and reclaims it.  Defaults to
@@ -273,6 +291,9 @@ class ClusterCoordinator:
         #: Earliest backoff expiry the dispatch loop must wake for.
         self._wake_at = float("inf")
         self._closed = False
+        self._unresolved: Set[str] = set()
+        #: The worker processes this coordinator started, by name.
+        self._locals: Dict[str, _Local] = {}
 
         reg = self.telemetry.registry
         self._m_live = reg.gauge(
@@ -367,7 +388,8 @@ class ClusterCoordinator:
             # started leases become zombies whose late results are
             # resolved by key — and adopt the new connection.
             self._reclaim_worker(
-                old, reason="connection replaced", keep_zombies=True
+                old, f"worker {name} lost (connection replaced)",
+                keep_zombies=True,
             )
             self._retire_rows(old)
         worker = _Remote(
@@ -375,14 +397,13 @@ class ClusterCoordinator:
             conn=conn,
             capacity=max(1, int(message.get("capacity", 1))),
             pid=message.get("pid"),
-            mode=str(message.get("mode", "inline")),
             last_seen=now,
         )
         self._add_worker(worker)
         self._welcome(worker)
         self._log(
             f"cluster: worker {name} joined "
-            f"(capacity {worker.capacity}, {worker.mode})"
+            f"(capacity {worker.capacity}, pid {worker.pid})"
         )
 
     def _revive(
@@ -396,12 +417,13 @@ class ClusterCoordinator:
         return worker
 
     def _reclaim_worker(
-        self, worker: _Remote, reason: str, keep_zombies: bool
+        self, worker: _Remote, message: str, keep_zombies: bool
     ) -> None:
         """Take every lease back from ``worker`` and fault the started
-        ones.  ``keep_zombies`` preserves started leases as zombies —
-        used when the worker may still be executing (pause, partition,
-        reconnect) so its late result is matched instead of orphaned."""
+        ones with ``message``.  ``keep_zombies`` preserves started
+        leases as zombies — used when the worker may still be executing
+        (pause, partition, reconnect) so its late result is matched
+        instead of orphaned."""
         leases = list(worker.leases.values())
         worker.leases.clear()
         for lease in leases:
@@ -415,7 +437,7 @@ class ClusterCoordinator:
                     lease.cell,
                     kind="crash",
                     etype="SweepWorkerError",
-                    message=f"worker {worker.name} lost ({reason})",
+                    message=message,
                 )
             else:
                 # Never started: recycling costs no attempt.
@@ -432,13 +454,75 @@ class ClusterCoordinator:
             f"reclaiming {len(worker.leases)} lease(s)",
             kind="retry",
         )
+        if worker.name in self._locals:
+            # One of ours: it ends here, so nothing it ran can still
+            # arrive, and while cells remain a new process takes its
+            # place.
+            code = self._reap(worker.name, LOST_GRACE)
+            self._reclaim_worker(
+                worker, f"worker process died (exit code {code})",
+                keep_zombies=False,
+            )
+            self._retire_rows(worker)
+            if self._unresolved:
+                self._start_local(worker.name)
+            return
         # Keep the connection on file when it is still open: a paused
         # worker that wakes up will speak again and be revived.
         still_open = not worker.conn.closed
-        self._reclaim_worker(worker, reason=reason, keep_zombies=still_open)
+        self._reclaim_worker(
+            worker, f"worker {worker.name} lost ({reason})",
+            keep_zombies=still_open,
+        )
         self._retire_rows(worker)
         if still_open:
             self._lost_conns[worker.name] = worker.conn
+
+    # -- local worker processes ------------------------------------------
+    def start_local_workers(self, count: int) -> None:
+        """Top this coordinator's worker processes up to ``count``,
+        named ``local-0`` ... ``local-<count-1>``; each registers like
+        any worker (see :meth:`await_workers`).
+
+        Each is forked (``multiprocessing.Process``) from the calling
+        thread, which must be the one driving :meth:`execute`: only that
+        thread ever starts them, so no child inherits another start's
+        half-made state.
+        """
+        for slot in range(count):
+            if f"local-{slot}" not in self._locals:
+                self._start_local(f"local-{slot}")
+
+    def _start_local(self, name: str) -> None:
+        import multiprocessing
+        import socket
+
+        from repro.cluster.worker import local_worker_main
+
+        ours, theirs = socket.socketpair()
+        inherited = [ours] + [local.sock for local in self._locals.values()]
+        proc = multiprocessing.Process(
+            target=local_worker_main, args=(theirs, name, inherited),
+            name=f"repro-{name}", daemon=True,
+        )
+        proc.start()
+        theirs.close()
+        conn = comm.adopt(ours)
+        conn.wakeup = self._wakeup
+        self._pending_conns.append(conn)
+        self._locals[name] = _Local(proc=proc, sock=ours, conn=conn)
+
+    def _reap(self, name: str, grace: float) -> Optional[int]:
+        """Close local worker ``name``'s connection, give its process
+        ``grace`` seconds to exit, terminate it if it has not, and reap
+        it; returns its exit code."""
+        local = self._locals.pop(name)
+        local.conn.close()
+        local.proc.join(grace)
+        if local.proc.is_alive():
+            local.proc.terminate()
+            local.proc.join()
+        return local.proc.exitcode
 
     def _update_held(self) -> None:
         self._m_held.set(self._held_count)
@@ -611,7 +695,8 @@ class ClusterCoordinator:
                 ),
             )
             return
-        # Worker-side infrastructure failure (subprocess crash/timeout).
+        # Worker-side infrastructure failure (a lease that did not
+        # decode).
         target = cell if cell is not None else self._find_cell(cell_key)
         if target is not None:
             self._fault(
@@ -669,7 +754,7 @@ class ClusterCoordinator:
         elif mtype == protocol.MSG_STARTED:
             lease = worker.leases.get(message.get("lease"))
             if lease is not None and not lease.started:
-                self._start(worker, lease, now, message.get("pid"))
+                self._start(worker, lease, now)
         elif mtype == protocol.MSG_RESULT:
             self._handle_result(worker, message)
         elif mtype == protocol.MSG_REVOKED:
@@ -694,17 +779,17 @@ class ClusterCoordinator:
             self._lose_worker(worker, reason="goodbye")
         return worker
 
-    def _start(
-        self, worker: _Remote, lease: _Lease, now: float, pid: Optional[int]
-    ) -> None:
-        """A lease's run began: arm its deadline and show it in a row,
-        under the pid of the process running it."""
+    def _start(self, worker: _Remote, lease: _Lease, now: float) -> None:
+        """A lease's run began: arm its deadline and show it in a row."""
         lease.started_at = now
         # The worker won any in-flight steal race: a started lease is
         # never handed back.
         lease.revoking = False
         cell = lease.cell
-        if self.lease_timeout is not None:
+        if self.run_timeout is not None and worker.name in self._locals:
+            # One of ours: the process is killed at the run timeout.
+            lease.deadline = now + self.run_timeout * max(cell.width, 1)
+        elif self.lease_timeout is not None:
             lease.deadline = now + self.lease_timeout * max(cell.width, 1)
         self._report.started += 1
         table = self.telemetry.workers
@@ -725,7 +810,6 @@ class ClusterCoordinator:
                 if self.cost_model is not None
                 else None
             ),
-            pid=pid,
         )
 
     def _accept(self, now: float) -> bool:
@@ -845,6 +929,21 @@ class ClusterCoordinator:
                     continue
                 del worker.leases[lease.lease_id]
                 self._lease_removed(worker, lease)
+                if self.run_timeout is not None and name in self._locals:
+                    # One of ours (see _start): the run ends with its
+                    # process.
+                    self._locals[name].proc.kill()
+                    self._fault(
+                        lease.cell,
+                        kind="timeout",
+                        etype="SweepTimeout",
+                        message=(
+                            f"run exceeded the {self.run_timeout:g}s "
+                            "wall-clock timeout"
+                        ),
+                    )
+                    self._lose_worker(worker, reason="run timed out")
+                    break
                 self._m_expired.inc()
                 self._report.expired += 1
                 self._m_reclaimed.inc()
@@ -931,8 +1030,6 @@ class ClusterCoordinator:
                     "type": protocol.MSG_LEASE,
                     "lease": lease.lease_id,
                     "key": cell.key,
-                    "width": cell.width,
-                    "timeout": self.run_timeout,
                     "spec": protocol.spec_to_wire(cell.spec),
                 }
             )
@@ -1022,7 +1119,7 @@ class ClusterCoordinator:
         self._report = ExecuteReport()
         self._on_resolved = on_resolved
         self._queue: deque = deque()
-        self._unresolved: set = set()
+        self._unresolved = set()
         self._cells: Dict[str, _Cell] = {}
         # Rebuild the lease indexes from the worker tables: leases can
         # survive between execute() calls (e.g. a started sibling whose
@@ -1100,7 +1197,13 @@ class ClusterCoordinator:
         return min(nap, self._wake_at - now)
 
     def close(self) -> None:
-        """Shut down: tell every worker to exit and release the listener."""
+        """Shut down: tell every worker to exit, stop and reap the local
+        worker processes, and release the listener.
+
+        An idle local process exits 0 on its ``shutdown`` and is joined
+        with a bound; one still holding a lease (the sweep raised) is
+        terminated at once, since nobody would take its result.
+        """
         if self._closed:
             return
         self._closed = True
@@ -1115,6 +1218,10 @@ class ClusterCoordinator:
             conn.close()
         for conn in self._lost_conns.values():
             conn.close()
+        for name in list(self._locals):
+            worker = self._workers.get(name)
+            busy = worker is not None and bool(worker.leases)
+            self._reap(name, 0.0 if busy else SHUTDOWN_GRACE)
         self._workers.clear()
         self._m_live.set(0)
         self.listener.close()

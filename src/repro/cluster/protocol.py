@@ -4,9 +4,8 @@ Every frame on a cluster connection is a JSON object with a ``"type"``
 key.  The full protocol (see ``docs/cluster.md`` for the lifecycle):
 
 Worker → coordinator
-    ``register``   name, capacity, pid, and the worker's execution mode.
-    ``started``    a leased run began executing (arms the lease deadline);
-                   carries the pid of the process running it.
+    ``register``   name, capacity and the pid of the worker's process.
+    ``started``    a leased run began executing (arms the lease deadline).
     ``result``     lease outcome: ``ok`` + metrics payload (or a captured
                    exception), wall seconds, optional telemetry snapshot.
     ``heartbeat``  periodic liveness ping with per-lease elapsed times.
@@ -16,10 +15,9 @@ Worker → coordinator
 Coordinator → worker
     ``welcome``    registration accepted: sweep config (timeout,
                    heartbeat interval, telemetry on/off).
-    ``lease``      one cell to execute: lease id, cache key, replicate
-                   width, per-run timeout, and the spec's wire form
-                   (``"spec"``, see :func:`spec_to_wire`).  One frame
-                   per lease.
+    ``lease``      one cell to execute: lease id, cache key and the
+                   spec's wire form (``"spec"``, see
+                   :func:`spec_to_wire`).  One frame per lease.
     ``revoke``     return an *unstarted* lease (work stealing).
     ``shutdown``   sweep over; the worker loop exits.
 

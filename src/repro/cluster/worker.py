@@ -1,34 +1,23 @@
 """The cluster worker: executes leased cells, streams results back.
 
-``python -m repro.cluster.worker --connect tcp://host:port`` joins a
-coordinator (:mod:`repro.cluster.coordinator`) and executes the
-:class:`~repro.sweep.spec.RunSpec`\\ s it is leased.  The same class
-runs on a thread of the sweep's own process for the sweep engine's
-auto-workers (every ``--jobs N`` sweep and ``--cluster inproc``), the
-chaos harness and tests.
+``python -m repro.cluster.worker --connect tcp://host:port --jobs N``
+joins a coordinator (:mod:`repro.cluster.coordinator`) with ``N``
+worker processes under one parent, which restarts a child that exits
+non-zero and exits 0 once every child has exited 0 after ``shutdown``.
+Each process executes the :class:`~repro.sweep.spec.RunSpec`\\ s it is
+leased.  The sweep engine's auto-workers (every ``--jobs N`` sweep and
+``--cluster inproc``) are the same class in processes their
+coordinator forks (:func:`local_worker_main`), each speaking over one
+end of a socketpair; the chaos harness and tests also run it on a
+thread (:func:`start_worker_thread`).
 
-Two execution modes:
-
-* ``isolate=True`` (the CLI default, and every auto-worker): each
-  executor thread drives one long-lived subprocess running
-  :func:`_worker_main`, so leases run on their own CPUs with crash and
-  timeout containment — a subprocess that dies or blows the per-run
-  budget is reported as a ``crash``/``timeout`` result and respawned,
-  and the coordinator's retry budget takes it from there.  Stopping the
-  worker ends each idle subprocess gracefully (``None`` on its pipe, a
-  bounded join) and terminates one still running a lease, whose result
-  nobody would take.
-* ``isolate=False`` (the class default; ``--no-isolate``): leases
-  execute via :func:`~repro.sweep.registry.execute_spec` on executor
-  threads inside this process — no subprocess to start, with crash
-  isolation delegated to the coordinator's lease machinery.  The chaos
-  harness and the coordinator tests use it.
-
-Executor threads send their ``started`` and ``result`` messages
-straight over the connection (a worker under chaos queues them for the
-main loop instead).  The main loop blocks on one wake-up event, set by
-inbound messages and by anything queued for it; it takes in leases,
-flushes queued messages, and
+Executor threads run leases via
+:func:`~repro.sweep.registry.execute_spec`, ``capacity`` at a time, and
+send their ``started`` and ``result`` messages straight over the
+connection (a worker under chaos queues them for the main loop
+instead).  The main loop blocks on one wake-up event, set by inbound
+messages and by anything queued for it; it takes in leases, flushes
+queued messages, and
 heartbeats every ``heartbeat_interval`` (the coordinator's, adopted
 from its welcome) — so a slow run keeps heartbeating (straggler, never
 killed) while a paused or GIL-bound worker goes silent (the
@@ -36,7 +25,8 @@ coordinator's liveness call).  On a lost connection the worker
 reconnects with backoff and **re-registers**, then flushes any results
 buffered while disconnected — that is how it survives both partitions
 and a coordinator restart; the coordinator resolves replayed results
-by cache key, so nothing double-commits.
+by cache key, so nothing double-commits.  A worker without an address
+(a forked auto-worker) cannot reconnect: losing its connection ends it.
 """
 
 from __future__ import annotations
@@ -54,12 +44,6 @@ from repro.cluster import comm, protocol
 #: Serializes per-run telemetry-registry installs across executor
 #: threads (the registry hook is process-global).
 _TELEMETRY_LOCK = threading.Lock()
-
-#: Serializes subprocess starts across executor threads.  A child
-#: forked while another start is under way inherits that start's pipe
-#: end and exit sentinel, and then the other subprocess's death never
-#: shows on either: its executor would wait forever.
-_SPAWN_LOCK = threading.Lock()
 
 
 def _execute(spec, builder, metered: bool):
@@ -107,42 +91,6 @@ def _failure(exc: BaseException) -> Dict[str, str]:
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
-def _worker_main(conn) -> None:
-    """Body of an isolated executor slot's subprocess.
-
-    Each message is a lease's ``(key, wire spec, metered)``; the reply
-    is ``(ok, payload, kind, snap)``: :func:`_execute`'s outcome with
-    kind ``""`` or ``"exception"``, or kind ``"decode"`` when the spec
-    does not decode to the key (checked here, off the sweep process's
-    CPU).  ``None`` or a closed pipe ends the loop.
-    ``KeyboardInterrupt``/``SystemExit`` end the process, which the
-    executor reports as a crash.  One
-    :class:`~repro.sweep.registry.RunBuilder` builds every run.
-    """
-    from repro.sweep.registry import RunBuilder
-
-    builder = RunBuilder()
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        key, wire, metered = item
-        try:
-            spec = _decode(key, wire)
-        except protocol.SpecWireError as exc:
-            reply = (False, _failure(exc), "decode", None)
-        else:
-            ok, payload, snap = _execute(spec, builder, metered)
-            reply = (ok, payload, "" if ok else "exception", snap)
-        try:
-            conn.send(reply)
-        except (OSError, BrokenPipeError):
-            return
-
-
 class _ActiveRun:
     """One lease currently executing on an executor thread."""
 
@@ -158,14 +106,14 @@ class ClusterWorker:
     Parameters
     ----------
     address:
-        The coordinator's listen address.
+        The coordinator's listen address; ``None`` for a worker handed
+        its connection (:func:`local_worker_main`), which ends when that
+        connection does.
     name:
         Stable worker name; reconnections under the same name let the
         coordinator match the returning worker to its old state.
     capacity:
         Concurrent executor slots (and the advertised lease capacity).
-    isolate:
-        Execute leases in subprocesses (see module docs).
     heartbeat_interval:
         Seconds between heartbeats until the coordinator's welcome
         replaces it with the coordinator's own interval.
@@ -180,10 +128,9 @@ class ClusterWorker:
 
     def __init__(
         self,
-        address: str,
+        address: Optional[str],
         name: Optional[str] = None,
         capacity: int = 1,
-        isolate: bool = False,
         heartbeat_interval: float = 0.25,
         reconnect_timeout: Optional[float] = 30.0,
         reconnect_delay: float = 0.1,
@@ -192,7 +139,6 @@ class ClusterWorker:
         self.address = address
         self.name = name or f"worker-{os.getpid()}"
         self.capacity = max(1, int(capacity))
-        self.isolate = isolate
         self.heartbeat_interval = heartbeat_interval
         self.reconnect_timeout = reconnect_timeout
         self.reconnect_delay = reconnect_delay
@@ -215,12 +161,6 @@ class ClusterWorker:
         self._active: Dict[str, _ActiveRun] = {}
         self._outbox: deque = deque()  # messages awaiting a live conn
         self._executors: List[threading.Thread] = []
-        #: Per executor slot: its subprocess, pipe and whether a lease
-        #: is running there (isolate mode).
-        self._slots: List[Dict[str, Any]] = [
-            {"proc": None, "pipe": None, "busy": False}
-            for _ in range(self.capacity)
-        ]
         self._run_counter = itertools.count()
         self.results_completed = 0
         self._last_heartbeat = 0.0
@@ -228,7 +168,10 @@ class ClusterWorker:
 
     # -- connection management ------------------------------------------
     def _connect(self) -> bool:
-        """(Re)connect and register; False when the budget is spent."""
+        """(Re)connect and register; False when the budget is spent or
+        there is no address to connect to."""
+        if self.address is None:
+            return False
         deadline = (
             None
             if self.reconnect_timeout is None
@@ -248,22 +191,25 @@ class ClusterWorker:
                 time.sleep(delay)
                 delay = min(delay * 2, 2.0)
                 continue
-            conn.wakeup = self._wakeup
-            conn.send(
-                {
-                    "type": protocol.MSG_REGISTER,
-                    "name": self.name,
-                    "capacity": self.capacity,
-                    "pid": os.getpid(),
-                    "mode": "pool" if self.isolate else "inline",
-                }
-            )
-            self._conn = conn
-            # Registering is proof of life: the first heartbeat is due
-            # one interval from now.
-            self._last_heartbeat = time.monotonic()
+            self._attach(conn)
             return True
         return False
+
+    def _attach(self, conn: comm.Connection) -> None:
+        """Register over ``conn`` and serve it from here on."""
+        conn.wakeup = self._wakeup
+        conn.send(
+            {
+                "type": protocol.MSG_REGISTER,
+                "name": self.name,
+                "capacity": self.capacity,
+                "pid": os.getpid(),
+            }
+        )
+        self._conn = conn
+        # Registering is proof of life: the first heartbeat is due one
+        # interval from now.
+        self._last_heartbeat = time.monotonic()
 
     def _drop_conn(self) -> None:
         if self._conn is not None:
@@ -271,12 +217,13 @@ class ClusterWorker:
             self._conn = None
 
     def _post(self, message: Dict[str, Any]) -> None:
-        """Send a message from an executor thread.
+        """Send a message.
 
         It goes straight over the live connection unless messages are
-        already queued ahead of it; then it is queued for the main loop
-        to flush.  A worker under chaos always queues, so the main loop
-        sees each result and applies its chaos events in between.
+        already queued ahead of it (only after a failed send); then it
+        is queued for the main loop to flush.  A worker under chaos
+        always queues, so the main loop sees each result and applies its
+        chaos events in between.
         """
         with self._lock:
             conn = self._conn
@@ -318,30 +265,22 @@ class ClusterWorker:
         elif mtype == protocol.MSG_REVOKE:
             lease_id = message.get("lease")
             with self._lock:
-                for queued in list(self._leases):
-                    if queued.get("lease") == lease_id:
-                        self._leases.remove(queued)
-                        self._outbox.append(
-                            {
-                                "type": protocol.MSG_REVOKED,
-                                "lease": lease_id,
-                            }
-                        )
-                        break
-                # A started lease is never handed back: its result wins
-                # or loses the commit race at the coordinator.
+                queued = [g for g in self._leases if g.get("lease") == lease_id]
+                for grant in queued:
+                    self._leases.remove(grant)
+            # A started lease is never handed back: its result wins or
+            # loses the commit race at the coordinator.
+            if queued:
+                self._post({"type": protocol.MSG_REVOKED, "lease": lease_id})
         elif mtype == protocol.MSG_SHUTDOWN:
             self._halt()
 
     def _halt(self) -> None:
         """Stop serving: wake every executor waiting for a lease and the
-        main loop, and terminate any subprocess still running a lease."""
+        main loop."""
         with self._lease_cv:
             self._running = False
             self._lease_cv.notify_all()
-            for state in self._slots:
-                if state["busy"] and state["proc"] is not None:
-                    state["proc"].terminate()
         self._wakeup.set()
 
     def _take_lease(self, wait: float = 0.0) -> Optional[Dict[str, Any]]:
@@ -362,205 +301,70 @@ class ClusterWorker:
             ok, payload, snap = _execute(spec, builder, False)
         return ok, payload, "" if ok else "exception", snap
 
-    @staticmethod
-    def _spawn_proc():
-        import multiprocessing
-
-        with _SPAWN_LOCK:
-            parent, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=_worker_main, args=(child,), daemon=True
-            )
-            proc.start()
-            child.close()
-        return proc, parent
-
-    @staticmethod
-    def _stop_proc(state: Dict[str, Any], graceful: bool) -> None:
-        """Stop and reap this slot's subprocess, if it has one.
-
-        ``graceful`` (an idle subprocess) sends ``None``, which ends its
-        loop with exit code 0, and joins with a bound; a subprocess
-        still alive after that — or one stopped mid-run — is terminated.
-        """
-        proc, pipe = state.get("proc"), state.get("pipe")
-        state["proc"] = state["pipe"] = None
-        if proc is None:
-            return
-        if graceful:
-            try:
-                pipe.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-            proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        pipe.close()
-
-    def _live_proc(self, state: Dict[str, Any]):
-        """This slot's subprocess, started anew if it has none or it
-        died."""
-        if state["proc"] is None or not state["proc"].is_alive():
-            self._stop_proc(state, graceful=False)  # reap a dead one
-            state["proc"], state["pipe"] = self._spawn_proc()
-        return state["proc"]
-
-    def _execute_isolated(
-        self, state: Dict[str, Any], key: str, wire: Any,
-        timeout: Optional[float], width: int,
-    ):
-        """Run a lease's spec in this slot's subprocess (started by
-        :meth:`_live_proc`), which decodes it (see :func:`_worker_main`).
-
-        A dead subprocess is a ``crash``; one past ``timeout * width``
-        is killed and reported as a ``timeout``; either way the next
-        lease starts a new one.  A worker stopped mid-run terminates
-        the subprocess (:meth:`_halt`): nobody is left to take the
-        result.
-        """
-        from multiprocessing.connection import wait
-
-        proc, pipe = state["proc"], state["pipe"]
-        with self._lock:
-            if not self._running:
-                return self._crash("worker stopped before the run")
-            state["busy"] = True
-        try:
-            try:
-                pipe.send((key, wire, self.telemetry_on))
-            except (OSError, BrokenPipeError):
-                self._stop_proc(state, graceful=False)
-                return self._crash("subprocess died between assignments")
-            deadline = (
-                time.monotonic() + timeout * max(width, 1)
-                if timeout is not None
-                else None
-            )
-            while True:  # the assigned run must resolve either way
-                left = None
-                if deadline is not None:
-                    left = deadline - time.monotonic()
-                    if left <= 0:
-                        self._stop_proc(state, graceful=False)
-                        return (
-                            False,
-                            {"type": "SweepTimeout",
-                             "message": (
-                                 f"run exceeded the {timeout:g}s "
-                                 "wall-clock timeout"
-                             )},
-                            "timeout",
-                            None,
-                        )
-                ready = wait([pipe, proc.sentinel], left)
-                if pipe in ready:
-                    try:
-                        return pipe.recv()
-                    except (EOFError, OSError):
-                        break  # torn pipe: treat as a crash below
-                if ready:
-                    break  # the subprocess died
-        finally:
-            with self._lock:
-                state["busy"] = False
-        # Dead, or tore its pipe on its way out: let it finish exiting,
-        # so the exit code is known, then reap it.
-        proc.join(timeout=5.0)
-        code = proc.exitcode
-        self._stop_proc(state, graceful=False)
-        if not self._running:
-            return self._crash("worker stopped mid-run")
-        return self._crash(f"worker process died (exit code {code})")
-
-    @staticmethod
-    def _crash(message: str):
-        """A ``crash`` outcome: the run ended without a result."""
-        return (
-            False, {"type": "SweepWorkerError", "message": message},
-            "crash", None,
-        )
-
-    def _executor_loop(self, slot: int) -> None:
+    def _executor_loop(self) -> None:
         from repro.sweep.registry import RunBuilder
 
-        state = self._slots[slot]
-        builder = RunBuilder()  # runs on this thread (not isolated)
-        try:
-            while self._running:
-                # Block on the lease condvar: it wakes the instant a
-                # grant lands, and stop() wakes it too.
-                lease = self._take_lease(wait=1.0)
-                if lease is None:
-                    continue
-                lease_id = lease["lease"]
-                key = lease["key"]
-                spec = None
-                if not self.isolate:
-                    try:
-                        spec = _decode(key, lease.get("spec"))
-                    except protocol.SpecWireError as exc:
-                        # No MSG_STARTED: the run never began.  A
-                        # "decode" kind routes through the coordinator's
-                        # retry path.
-                        self._post(
-                            {
-                                "type": protocol.MSG_RESULT,
-                                "lease": lease_id,
-                                "key": key,
-                                "ok": False,
-                                "payload": _failure(exc),
-                                "kind": "decode",
-                                "wall": 0.0,
-                                "snap": None,
-                            }
-                        )
-                        continue
-                width = int(lease.get("width") or 1)
-                timeout = lease.get("timeout")
-                run_index = next(self._run_counter)
-                active = _ActiveRun(lease_id, key)
-                with self._lock:
-                    self._active[lease_id] = active
-                pid = (
-                    self._live_proc(state).pid if self.isolate
-                    else os.getpid()
-                )
-                self._post(
-                    {"type": protocol.MSG_STARTED, "lease": lease_id,
-                     "key": key, "pid": pid}
-                )
-                if self.chaos is not None:
-                    stall = self.chaos.stall_before(run_index)
-                    if stall > 0:
-                        time.sleep(stall)
-                start = time.monotonic()
-                if self.isolate:
-                    ok, payload, kind, snap = self._execute_isolated(
-                        state, key, lease.get("spec"), timeout, width
-                    )
-                else:
-                    ok, payload, kind, snap = self._execute_inline(
-                        spec, builder
-                    )
-                wall = time.monotonic() - start
-                with self._lock:
-                    self._active.pop(lease_id, None)
+        builder = RunBuilder()  # builds every run of this thread
+        while self._running:
+            # Block on the lease condvar: it wakes the instant a grant
+            # lands, and stop() wakes it too.
+            lease = self._take_lease(wait=1.0)
+            if lease is None:
+                continue
+            lease_id = lease["lease"]
+            key = lease["key"]
+            try:
+                spec = _decode(key, lease.get("spec"))
+            except protocol.SpecWireError as exc:
+                # No MSG_STARTED: the run never began.  A "decode" kind
+                # routes through the coordinator's retry path.
                 self._post(
                     {
                         "type": protocol.MSG_RESULT,
                         "lease": lease_id,
                         "key": key,
-                        "ok": ok,
-                        "payload": payload,
-                        "kind": kind,
-                        "wall": wall,
-                        "snap": snap,
+                        "ok": False,
+                        "payload": _failure(exc),
+                        "kind": "decode",
+                        "wall": 0.0,
+                        "snap": None,
                     }
                 )
-                self.results_completed += 1
-        finally:
-            self._stop_proc(state, graceful=True)
+                continue
+            run_index = next(self._run_counter)
+            active = _ActiveRun(lease_id, key)
+            with self._lock:
+                self._active[lease_id] = active
+            self._post(
+                {"type": protocol.MSG_STARTED, "lease": lease_id, "key": key}
+            )
+            conn = self._conn
+            if conn is not None:
+                # The coordinator must know the run started before the
+                # run can take this process down with it.
+                conn.flush()
+            if self.chaos is not None:
+                stall = self.chaos.stall_before(run_index)
+                if stall > 0:
+                    time.sleep(stall)
+            start = time.monotonic()
+            ok, payload, kind, snap = self._execute_inline(spec, builder)
+            wall = time.monotonic() - start
+            with self._lock:
+                self._active.pop(lease_id, None)
+            self._post(
+                {
+                    "type": protocol.MSG_RESULT,
+                    "lease": lease_id,
+                    "key": key,
+                    "ok": ok,
+                    "payload": payload,
+                    "kind": kind,
+                    "wall": wall,
+                    "snap": snap,
+                }
+            )
+            self.results_completed += 1
 
     # -- the main loop ---------------------------------------------------
     def _heartbeat(self) -> None:
@@ -610,11 +414,11 @@ class ClusterWorker:
             )
 
     def run(self) -> None:
-        """Serve leases until shutdown, stop, or a chaos kill."""
+        """Serve leases until shutdown, stop, a chaos kill, or a lost
+        connection that cannot be replaced."""
         for slot in range(self.capacity):
             thread = threading.Thread(
                 target=self._executor_loop,
-                args=(slot,),
                 name=f"{self.name}-exec{slot}",
                 daemon=True,
             )
@@ -660,7 +464,7 @@ class ClusterWorker:
 
     def stop(self) -> None:
         """Ask the worker loop to exit (thread-safe); its executors wake
-        at once and stop their subprocesses."""
+        at once."""
         self._halt()
 
 
@@ -668,8 +472,8 @@ def start_worker_thread(
     address: str, name: Optional[str] = None, **kwargs
 ) -> ClusterWorker:
     """Spawn a :class:`ClusterWorker` on a daemon thread (tests, the
-    chaos harness, and the ``--cluster inproc`` auto-workers).  Returns
-    the worker; its thread is ``worker._thread``."""
+    chaos harness and the dispatch benchmark's TCP mode).  Returns the
+    worker; its thread is ``worker._thread``."""
     worker = ClusterWorker(address, name=name, **kwargs)
     thread = threading.Thread(
         target=worker.run, name=f"cluster-{worker.name}", daemon=True
@@ -679,8 +483,44 @@ def start_worker_thread(
     return worker
 
 
+def local_worker_main(sock, name: str, inherited) -> None:
+    """Body of a worker process its coordinator forked
+    (:meth:`~repro.cluster.coordinator.ClusterCoordinator.start_local_workers`).
+
+    ``sock`` is this process's end of its socketpair.  ``inherited``
+    holds the coordinator's ends of every local socketpair; closing
+    their copies here means a process sees end-of-stream, and exits,
+    once the coordinator's end closes or its process dies.  Returning
+    from here (exit code 0) lets exit handlers such as a tracer's
+    span dump run.
+    """
+    comm.reset_after_fork()
+    for end in inherited:
+        end.close()
+    worker = ClusterWorker(None, name=name)
+    worker._attach(comm.adopt(sock))
+    worker.run()
+
+
+def _serve(address: str, name: str, reconnect_timeout: float) -> None:
+    """Body of one worker process of the command line (see :func:`main`)."""
+    ClusterWorker(
+        address, name=name, reconnect_timeout=reconnect_timeout
+    ).run()
+
+
 def main(argv=None) -> int:
-    """CLI entry point: ``python -m repro.cluster.worker --connect ...``."""
+    """CLI entry point: ``python -m repro.cluster.worker --connect ...``.
+
+    Starts ``--jobs`` single-slot worker processes, named
+    ``<name>-0``, ``<name>-1``..., and restarts one under its name when
+    it exits non-zero.  Returns 0 once every process has exited 0 (after
+    the coordinator's ``shutdown``, or when its reconnect budget ran
+    out).
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.worker",
         description="Join a repro sweep coordinator and execute leases.",
@@ -692,19 +532,16 @@ def main(argv=None) -> int:
         help="coordinator address (tcp://host:port or inproc://name)",
     )
     parser.add_argument(
-        "--name", default=None, help="stable worker name (default: pid-based)"
+        "--name", default=None,
+        help="stable worker name; process i registers as NAME-i "
+        "(default: pid-based)",
     )
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="concurrent executor slots (default 1)",
-    )
-    parser.add_argument(
-        "--no-isolate",
-        action="store_true",
-        help="execute leases on threads in this process instead of in "
-        "subprocesses (faster; loses crash/timeout isolation)",
+        help="worker processes, each running one lease at a time "
+        "(default 1)",
     )
     parser.add_argument(
         "--reconnect-timeout",
@@ -715,14 +552,27 @@ def main(argv=None) -> int:
         "(default 30; 0 fails fast)",
     )
     args = parser.parse_args(argv)
-    worker = ClusterWorker(
-        args.connect,
-        name=args.name,
-        capacity=args.jobs,
-        isolate=not args.no_isolate,
-        reconnect_timeout=args.reconnect_timeout,
-    )
-    worker.run()
+    name = args.name or f"worker-{os.getpid()}"
+
+    def start(slot: int):
+        proc = multiprocessing.Process(
+            target=_serve,
+            args=(args.connect, f"{name}-{slot}", args.reconnect_timeout),
+            daemon=True,
+        )
+        proc.start()
+        return proc
+
+    procs = {slot: start(slot) for slot in range(max(1, args.jobs))}
+    while procs:
+        wait([proc.sentinel for proc in procs.values()])
+        for slot, proc in list(procs.items()):
+            if proc.exitcode is None:
+                continue
+            if proc.exitcode == 0:
+                del procs[slot]
+            else:
+                procs[slot] = start(slot)
     return 0
 
 

@@ -7,7 +7,7 @@ by the spec's content hash — which includes the package version, so a
 version bump invalidates everything.  Misses run in this process when
 one worker suffices; otherwise they fan out through the
 :mod:`repro.cluster` coordinator, which leases them to its own
-auto-workers (each driving one subprocess) or to workers that joined
+auto-workers (worker processes it forks) or to workers that joined
 an explicit address.  Because every run is a pure function of its spec
 (each worker builds its own environment and RNGs from the spec's
 seed), parallel results are bit-identical to serial ones regardless
@@ -26,9 +26,9 @@ Two throughput layers sit on top of the plain fan-out:
 
 And one robustness layer underneath (see ``docs/robustness.md``):
 
-* a worker subprocess that **crashes** (segfault, OOM-kill,
-  ``os._exit``) or blows a per-run wall-clock **timeout** is replaced
-  and its spec retried with exponential backoff, up to
+* a worker process that **crashes** (segfault, OOM-kill,
+  ``os._exit``) or blows a per-run wall-clock **timeout** is reaped and
+  replaced, and its spec retried with exponential backoff, up to
   ``max_attempts`` (the coordinator's retry budget);
 * a spec whose execution raises is a *deterministic* failure — it is
   captured once (no retry) as an **error result**
@@ -291,13 +291,14 @@ class SweepRunner:
     jobs:
         Worker processes; ``None`` means ``os.cpu_count()``.  A round
         with one spec to execute, or ``jobs=1``, runs in this process
-        unless a ``timeout`` is set, which needs a subprocess to
+        unless a ``timeout`` is set, which needs a worker process to
         enforce.  Otherwise the round goes through the cluster
-        coordinator with ``min(jobs, pending)`` auto-workers, each
-        running its leases in one persistent subprocess; the first such
-        round of a run()/run_adaptive() call starts them, later rounds
-        reuse them (adding more if a round needs them), and the call
-        stops and reaps them before it returns.
+        coordinator with ``min(jobs, pending)`` auto-workers: worker
+        processes the coordinator forks and owns, each running one lease
+        at a time; the first such round of a run()/run_adaptive() call
+        starts them, later rounds reuse them (adding more if a round
+        needs them), and the call stops and reaps them before it
+        returns.
     cache_dir:
         Result-cache directory; default ``~/.cache/repro-sweeps`` (or
         ``$REPRO_SWEEP_CACHE``).
@@ -316,9 +317,9 @@ class SweepRunner:
         cache/checkpoint and any captured error, plus the sweep's
         :class:`SweepStats`.
     timeout:
-        Per-run wall-clock budget in seconds; the worker kills a run
-        past it and the coordinator retries it.  ``None`` (default)
-        never times runs out.
+        Per-run wall-clock budget in seconds; the coordinator kills the
+        worker process of a run past it and retries the run.  ``None``
+        (default) never times runs out.
     max_attempts:
         Total attempts per spec for *infrastructure* failures (worker
         crash or timeout); past the budget the spec resolves to an error
@@ -416,9 +417,6 @@ class SweepRunner:
         self.lease_timeout = lease_timeout
         self.liveness_timeout = liveness_timeout
         self._coordinator = None
-        #: The auto-workers of the current call; the call's first
-        #: coordinated round starts them, with their coordinator.
-        self._cluster_workers: List[Any] = []
         self._resumed_stale = 0
         self.last_stats: Optional[SweepStats] = None
         self.cost_model = CostModel(
@@ -572,7 +570,8 @@ class SweepRunner:
         return self.cache_dir / "checkpoints" / f"{safe}.jsonl"
 
     def _load_checkpoint(self) -> Dict[str, Dict[str, Any]]:
-        """Parse the label's checkpoint, tolerating a torn final line.
+        """Parse the label's checkpoint, cutting off a torn final line so
+        that the lines this sweep appends start on lines of their own.
 
         Every line is *validated* before it is trusted: the recorded
         identity must hash back to the recorded cache key, and its
@@ -586,40 +585,43 @@ class SweepRunner:
 
         entries: Dict[str, Dict[str, Any]] = {}
         stale = 0
+        path = self._checkpoint_path()
         try:
-            fh = open(self._checkpoint_path(), "r", encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return entries
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            os.truncate(path, complete)  # a killed sweep's torn write
+        for line in data[:complete].decode("utf-8", "replace").splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # a corrupt line; skip
+            if not isinstance(entry, dict):
+                continue
+            key = entry.get("key")
+            metrics = entry.get("metrics")
+            if not (isinstance(key, str) and isinstance(metrics, dict)):
+                continue
+            identity = entry.get("identity")
+            if isinstance(identity, dict):
+                if (
+                    identity_key(identity) != key
+                    or identity.get("version") != __version__
+                ):
+                    stale += 1
+                    self._log(
+                        f"checkpoint line for {key[:12]} is stale "
+                        f"(recorded version "
+                        f"{identity.get('version')!r}); recomputing",
+                        kind="retry",
+                    )
                     continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write from a killed sweep; skip
-                if not isinstance(entry, dict):
-                    continue
-                key = entry.get("key")
-                metrics = entry.get("metrics")
-                if not (isinstance(key, str) and isinstance(metrics, dict)):
-                    continue
-                identity = entry.get("identity")
-                if isinstance(identity, dict):
-                    if (
-                        identity_key(identity) != key
-                        or identity.get("version") != __version__
-                    ):
-                        stale += 1
-                        self._log(
-                            f"checkpoint line for {key[:12]} is stale "
-                            f"(recorded version "
-                            f"{identity.get('version')!r}); recomputing",
-                            kind="retry",
-                        )
-                        continue
-                entries[key] = metrics
+            entries[key] = metrics
         if stale:
             self._log(
                 f"skipped {stale} stale checkpoint line(s); the affected "
@@ -968,10 +970,11 @@ class SweepRunner:
     # -- cluster execution ----------------------------------------------
     def _ensure_coordinator(self, workers: int = 0):
         """The cluster coordinator, created unless one is open, with at
-        least ``workers`` auto-workers when the address is automatic.
+        least ``workers`` registered auto-workers when the address is
+        automatic.
 
         An explicit address keeps its coordinator until :meth:`close`.
-        The automatic one and its auto-workers live for one
+        The automatic one and its worker processes live for one
         run()/run_adaptive() call: its first coordinated round creates
         them, later rounds reuse them (topping them up to the round's
         ``workers``), and the call ends with
@@ -1005,27 +1008,14 @@ class SweepRunner:
                     f"cluster: coordinating at {self._coordinator.address} "
                     "(waiting for workers to connect)"
                 )
-        if auto and len(self._cluster_workers) < workers:
-            from repro.cluster.worker import start_worker_thread
-
-            # Each auto-worker runs its leases in one persistent
-            # subprocess, so the sweep gets ``workers`` CPUs rather than
-            # one shared interpreter lock, and a per-run timeout can
-            # kill a run.
-            reconnect_timeout = 5.0
-            for i in range(len(self._cluster_workers), workers):
-                self._cluster_workers.append(
-                    start_worker_thread(
-                        self._coordinator.address,
-                        name=f"local-{i}",
-                        capacity=1,
-                        isolate=True,
-                        reconnect_timeout=reconnect_timeout,
-                    )
-                )
+        if auto and workers:
+            # Worker processes, so the sweep gets ``workers`` CPUs rather
+            # than one shared interpreter lock, and a per-run timeout
+            # can kill a run.
+            self._coordinator.start_local_workers(workers)
             # Registered before the first dispatch pass, which would
             # otherwise find zero workers and report itself parked.
-            self._coordinator.await_workers(workers, reconnect_timeout)
+            self._coordinator.await_workers(workers, timeout=5.0)
         return self._coordinator
 
     def _run_cluster(
@@ -1138,30 +1128,22 @@ class SweepRunner:
         self._m_stragglers.inc(report.stragglers)
 
     def _stop_cluster_workers(self) -> None:
-        """Stop the auto-workers and their coordinator; run() and
-        run_adaptive() end with this.
+        """Close the automatic coordinator; run() and run_adaptive() end
+        with this.
 
-        Closing the coordinator sends each worker its shutdown; each
-        worker then ends its idle subprocess gracefully (``None`` on the
-        pipe, a bounded join, ``terminate`` only as a fallback) and
-        terminates one still running a lease, which only happens when
-        the sweep raised.  Joining the worker threads here reaps every
-        subprocess before the call returns, inside the call's trace span
-        and CPU accounting.
+        Closing sends each auto-worker its shutdown, joins its process
+        with a bound and terminates one still running a lease, which
+        only happens when the sweep raised (see
+        :meth:`~repro.cluster.coordinator.ClusterCoordinator.close`).
+        So every process is reaped before the call returns, inside the
+        call's trace span and CPU accounting.
         """
-        if not self._cluster_workers:
-            return
-        self._coordinator.close()
-        self._coordinator = None
-        for worker in self._cluster_workers:
-            worker.stop()
-        for worker in self._cluster_workers:
-            worker._thread.join(timeout=15.0)
-        self._cluster_workers = []
+        if self._coordinator is not None and self.cluster in (None, "inproc"):
+            self._coordinator.close()
+            self._coordinator = None
 
     def close(self) -> None:
         """Release cluster resources (idempotent)."""
-        self._stop_cluster_workers()
         if self._coordinator is not None:
             self._coordinator.close()
             self._coordinator = None

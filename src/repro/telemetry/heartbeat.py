@@ -5,8 +5,9 @@ engine's own auto-workers included — sends the coordinator a heartbeat
 every ``heartbeat_interval`` seconds, naming the leases it is running.
 The coordinator folds those messages, and each lease's start and end,
 into a :class:`WorkerTable`: one :class:`WorkerView` per executor slot
-holding its state, current spec, attempt number, wall time and
-heartbeat age — the live model behind the ``--watch`` dashboard.
+holding the pid the worker registered with (each auto-worker is a
+process of its own), its state, current spec, attempt number, wall time
+and heartbeat age — the live model behind the ``--watch`` dashboard.
 
 **Heartbeats are diagnostic, never disciplinary.**  A worker whose run
 is slow — or whose heartbeats stop arriving because the run is stuck in
@@ -131,13 +132,9 @@ class WorkerTable:
         width: int,
         now: float,
         expected: Optional[float] = None,
-        pid: Optional[int] = None,
     ) -> None:
-        """Show a started run on row ``ident``; ``pid`` (when known) is
-        the process running it."""
+        """Show a started run on row ``ident``."""
         view = self._views[ident]
-        if pid is not None:
-            view.pid = pid
         view.state = "busy"
         view.key = key
         view.label = label

@@ -1,16 +1,16 @@
 """Tests for the coordinator/worker cluster backend (repro.cluster).
 
-Inproc workers — threads of this process, or the subprocesses that
-``--cluster inproc`` auto-workers fork from it — see the executors
-registered here; the TCP smoke test spawns real
-``python -m repro.cluster.worker`` subprocesses and therefore sticks to
-spec kinds from the built-in registry.
+Workers on threads of this process, and the worker processes that a
+coordinator forks from it, see the executors registered here; the TCP
+tests run the real ``python -m repro.cluster.worker`` command and
+therefore stick to spec kinds from the built-in registry.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -316,69 +316,68 @@ class TestCoordinator:
         finally:
             worker.stop()
 
-    def test_stopped_isolated_worker_ends_its_subprocess_cleanly(
+    def test_killed_local_worker_is_lost_and_its_lease_retried(
+        self, tmp_path, process_starts
+    ):
+        """SIGKILL one of two local worker processes mid-execute(): the
+        coordinator sees the loss within 5 s, retries the started lease
+        on a replacement, and the survivor exits 0 at close()."""
+        specs = [_spec("cluster_sleep", sleep=0.2, value=v) for v in range(6)]
+        want = SweepRunner(
+            jobs=1, use_cache=False, progress=False,
+            cache_dir=tmp_path / "cache",
+        ).run(specs)
+        started = process_starts
+        tele = Telemetry(enabled=True)
+        coord = self._coordinator("t-local-kill", telemetry=tele)
+        killed = {}
+
+        def tick(_queue_depth, _busy, _live):
+            victim = coord._workers.get("local-0")
+            if not killed and victim is not None and any(
+                lease.started for lease in victim.leases.values()
+            ):
+                os.kill(victim.pid, signal.SIGKILL)
+                killed["pid"], killed["at"] = victim.pid, time.monotonic()
+            if killed and "lost" not in killed and (
+                _metric(tele, "cluster_workers_lost_total") >= 1
+            ):
+                killed["lost"] = time.monotonic()
+
+        try:
+            coord.start_local_workers(2)
+            coord.await_workers(2, timeout=10.0)
+            report = coord.execute(_jobs(specs), tick=tick)
+        finally:
+            coord.close()
+        assert killed["lost"] - killed["at"] < 5.0
+        assert [report.outcomes[s.key()].payload for s in specs] == want
+        assert report.retries >= 1
+        assert max(o.attempts for o in report.outcomes.values()) == 2
+        (victim,) = [p for p in started if p.pid == killed["pid"]]
+        assert victim.exitcode == -signal.SIGKILL
+        assert len(started) == 3  # the two workers, then a replacement
+        assert [p.exitcode for p in started if p is not victim] == [0, 0]
+
+    def test_local_worker_exits_when_its_connection_closes(
         self, process_starts
     ):
-        # stop() sends the idle subprocess None and joins it: exit code
-        # 0, not the -15 of a SIGTERM.
+        """Closing the coordinator's end of a local worker's socketpair,
+        without a shutdown, ends that process by itself — even though a
+        later-forked sibling inherited a copy of that end."""
         started = process_starts
-        coord = self._coordinator("t-isolated-stop")
-        worker = start_worker_thread(
-            coord.address, name="iso", capacity=1, isolate=True
-        )
-        spec = _spec("cluster_echo", value=7)
+        coord = self._coordinator("t-local-eof")
         try:
-            report = coord.execute(_jobs([spec]))
+            coord.start_local_workers(2)
+            coord.await_workers(2, timeout=10.0)
+            first = started[0]
+            coord._locals["local-0"].conn.close()
+            first.join(timeout=10.0)
+            assert first.exitcode == 0
+            assert started[1].is_alive()
         finally:
-            worker.stop()
-            worker._thread.join(timeout=15.0)
             coord.close()
-        assert report.outcomes[spec.key()].payload == {"value": 7.0}
-        assert not worker._thread.is_alive()
-        assert len(started) == 1
-        assert [proc.exitcode for proc in started] == [0]
-
-    def test_subprocess_death_shows_despite_a_concurrent_start(
-        self, monkeypatch
-    ):
-        """Two executor slots starting subprocesses at once: the second
-        child must not inherit the first one's pipe end and sentinel, or
-        the first one's death would never show to its executor."""
-        from multiprocessing.connection import wait
-
-        from repro.cluster.worker import ClusterWorker
-
-        real_fork = os.fork
-        other = {}
-
-        def start_other():
-            other["spawned"] = ClusterWorker._spawn_proc()
-
-        def fork():
-            pid = real_fork()
-            if pid and "thread" not in other:
-                # The first start, between its fork and its cleanup:
-                # another slot starts a subprocess now (or as soon as
-                # it may).
-                other["thread"] = threading.Thread(target=start_other)
-                other["thread"].start()
-                other["thread"].join(0.5)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        proc, pipe = ClusterWorker._spawn_proc()
-        other["thread"].join(10.0)
-        other_proc, other_pipe = other["spawned"]
-        try:
-            proc.kill()
-            assert wait([pipe, proc.sentinel], timeout=5.0)
-        finally:
-            other_pipe.send(None)
-            for p in (proc, other_proc):
-                p.join(5.0)
-            pipe.close()
-            other_pipe.close()
-        assert other_proc.exitcode == 0
+        assert not any(proc.is_alive() for proc in started)
 
     def test_closed_coordinator_rejects_execute(self):
         coord = self._coordinator("t-closed-exec")
@@ -539,6 +538,31 @@ class TestClusterSweep:
             runner.close()
         assert rows == self._serial(tmp_path)
 
+    def test_sweep_process_runs_no_thread_per_auto_worker(
+        self, tmp_path, monkeypatch
+    ):
+        """Mid-round the sweep process runs its own threads plus at most
+        the shared IO thread: each auto-worker is a process of its own."""
+        serial = self._serial(tmp_path)
+        before = set(threading.enumerate())
+        runner = self._runner(tmp_path, jobs=2)
+        original = runner._record_success
+        snapshots = []
+
+        def record_success(*args, **kwargs):
+            snapshots.append(threading.enumerate())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_record_success", record_success)
+        try:
+            rows = runner.run_adaptive(self._cells(), self.POLICY)
+        finally:
+            runner.close()
+        assert rows == serial
+        assert snapshots
+        new = {t.name for snap in snapshots for t in snap if t not in before}
+        assert new <= {"repro-cluster-io"}, new
+
     def test_each_cell_executes_exactly_once(self, tmp_path):
         counter = tmp_path / "c"
         specs = [
@@ -665,7 +689,46 @@ class TestChaosProof:
         assert counters["cluster_workers_lost_total"] >= 1
 
 
+def _worker_cli(address, *args):
+    """Start ``python -m repro.cluster.worker --connect address ...``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cluster.worker",
+            "--connect", address, "--reconnect-timeout", "20", *args,
+        ],
+        env=env,
+    )
+
+
+def _await_registered(coordinator, names, workers, pid=None):
+    """Pump ``coordinator`` until every name in ``names`` has registered
+    (under a pid other than ``pid``), failing after 10 s or once a
+    worker process exits."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        coordinator._pump(time.monotonic())
+        remotes = [coordinator._workers.get(name) for name in names]
+        if all(r is not None and r.pid != pid for r in remotes):
+            return remotes
+        exited = [p.returncode for p in workers if p.poll() is not None]
+        if exited or time.monotonic() > deadline:
+            pytest.fail(
+                f"{sorted(coordinator._workers)} registered, not "
+                f"{names}, within 10 s (exited: {exited})"
+            )
+        time.sleep(0.01)
+
+
 class TestTcpWorkerSubprocess:
+    def _runner(self, tmp_path, **kw):
+        return SweepRunner(
+            jobs=1, use_cache=False, progress=False,
+            cache_dir=tmp_path / "cache", **kw,
+        )
+
     def test_two_worker_tcp_sweep_matches_local(self, tmp_path):
         specs = [
             RunSpec(
@@ -683,52 +746,25 @@ class TestTcpWorkerSubprocess:
             for sched in ("rws", "dam-c")
             for s in (0, 1)
         ]
-        local = SweepRunner(
-            jobs=1, use_cache=False, progress=False,
-            cache_dir=tmp_path / "cache",
-        )
-        want = local.run(specs)
+        want = self._runner(tmp_path).run(specs)
 
-        runner = SweepRunner(
-            jobs=1, use_cache=False, progress=False,
-            cache_dir=tmp_path / "cache", cluster="tcp://127.0.0.1:0",
-            label="tcp-smoke",
+        runner = self._runner(
+            tmp_path, cluster="tcp://127.0.0.1:0", label="tcp-smoke"
         )
         coordinator = runner._ensure_coordinator()
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # One command-line worker with two worker processes.
         workers = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.cluster.worker",
-                    "--connect", coordinator.address,
-                    "--name", f"tcp-{i}",
-                    "--no-isolate",
-                    "--reconnect-timeout", "20",
-                ],
-                env=env,
-            )
-            for i in range(2)
+            _worker_cli(coordinator.address, "--name", "tcp", "--jobs", "2")
         ]
         try:
-            # Both workers register before the sweep starts.  Otherwise
-            # the four tiny cells can all finish before the second worker
-            # connects; that worker then misses the shutdown and sits out
-            # its reconnect budget.
-            deadline = time.monotonic() + 30.0
-            while len(coordinator._workers) < 2:
-                exited = [p.returncode for p in workers if p.poll() is not None]
-                if exited or time.monotonic() > deadline:
-                    pytest.fail(
-                        f"{len(coordinator._workers)} of 2 TCP workers "
-                        f"registered within 30 s (exited: {exited})"
-                    )
-                coordinator._pump(time.monotonic())
-                time.sleep(0.01)
+            # Both processes register before the sweep starts.
+            # Otherwise the four tiny cells can all finish before the
+            # second one connects; it then misses the shutdown and sits
+            # out its reconnect budget.
+            _await_registered(coordinator, ["tcp-0", "tcp-1"], workers)
             got = runner.run(specs)
         finally:
-            runner.close()  # sends shutdown to both workers
+            runner.close()  # sends shutdown to both processes
             for proc in workers:
                 try:
                     proc.wait(timeout=10.0)
@@ -736,8 +772,37 @@ class TestTcpWorkerSubprocess:
                     proc.kill()
                     proc.wait(timeout=10.0)
         assert got == want
-        # An orderly shutdown, not a kill, on both workers.
-        assert [p.returncode for p in workers] == [0, 0]
+        # An orderly shutdown, not a kill, of every worker.
+        assert [p.returncode for p in workers] == [0]
+
+    def test_killed_worker_process_is_restarted_under_its_name(
+        self, tmp_path
+    ):
+        runner = self._runner(
+            tmp_path, cluster="tcp://127.0.0.1:0", label="tcp-restart"
+        )
+        coordinator = runner._ensure_coordinator()
+        workers = [
+            _worker_cli(coordinator.address, "--name", "tcp", "--jobs", "2")
+        ]
+        try:
+            victim, _ = _await_registered(
+                coordinator, ["tcp-0", "tcp-1"], workers
+            )
+            os.kill(victim.pid, signal.SIGKILL)
+            (replacement,) = _await_registered(
+                coordinator, ["tcp-0"], workers, pid=victim.pid
+            )
+            assert replacement.pid != victim.pid
+        finally:
+            runner.close()
+            for proc in workers:
+                try:
+                    proc.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait(timeout=10.0)
+        assert [p.returncode for p in workers] == [0]
 
 
 class TestWorkerEntryPoint:

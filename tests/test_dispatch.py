@@ -479,6 +479,33 @@ class TestEngineBitIdentity:
         checkpoint = cache / "checkpoints" / "identity.jsonl"
         return rows, set(checkpoint.read_text().splitlines())
 
+    def test_resumed_remainder_is_bit_identical_to_serial(self, tmp_path):
+        """The resume leg: a serial sweep's checkpoint, cut to its first
+        half plus a torn line as a killed sweep leaves it, resumes at
+        ``jobs=2``; the remainder runs on the auto-workers, and the rows
+        and checkpoint lines end up serial's."""
+
+        def sweep(**kw):
+            runner = SweepRunner(
+                use_cache=False, resume=True, progress=False,
+                label="identity", cache_dir=tmp_path, **kw,
+            )
+            try:
+                return runner.run_adaptive(self._cells(), self.POLICY)
+            finally:
+                runner.close()
+
+        want_rows = sweep(jobs=1)
+        checkpoint = tmp_path / "checkpoints" / "identity.jsonl"
+        want_lines = checkpoint.read_text().splitlines()
+        kept = want_lines[: len(want_lines) // 2]
+        checkpoint.write_text(
+            "".join(line + "\n" for line in kept) + '{"key": "abc", "metr'
+        )
+        assert sweep(jobs=2) == want_rows
+        assert set(checkpoint.read_text().splitlines()) == set(want_lines)
+        assert len(want_lines) == 4 * self.POLICY.max_seeds
+
     @pytest.mark.parametrize("path", sorted(_PATHS))
     def test_bit_identical_to_serial(self, tmp_path, path):
         rows, lines = self._sweep(tmp_path, path, **_PATHS[path])

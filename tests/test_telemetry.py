@@ -613,6 +613,26 @@ class TestWatchOnTheCoordinator:
         pids = {tele.workers.view(ident).pid for ident in (0, 1)}
         assert len(pids) == 2 and os.getpid() not in pids
 
+    def test_rows_show_worker_pids_from_registration(self, tmp_path):
+        """An auto-worker registers with its own pid, so its row shows it
+        before any lease has started."""
+        tele = Telemetry(label="pids", enabled=True)
+        runner = SweepRunner(
+            jobs=2, use_cache=False, progress=False,
+            cache_dir=tmp_path / "cache", label="pids", telemetry=tele,
+        )
+        try:
+            runner._ensure_coordinator(2)
+            rows = [
+                (row["ident"], row["pid"])
+                for row in tele.workers.snapshot(tele.now())
+            ]
+        finally:
+            runner.close()
+        pids = {pid for _ident, pid in rows}
+        assert len(rows) == 2, rows
+        assert len(pids) == 2 and os.getpid() not in pids, rows
+
     def test_inline_round_gets_a_row_of_its_own(self, tmp_path):
         """A serial run after a coordinated one shows on its own row; the
         auto-workers' rows stay retired with their counts."""
