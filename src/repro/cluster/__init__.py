@@ -1,14 +1,14 @@
-"""Cross-host sweep scale-out: coordinator/worker cluster over a
-pluggable comm layer (see ``docs/cluster.md``).
+"""Cross-host sweep scale-out: coordinator/worker cluster over framed
+socket connections (see ``docs/cluster.md``).
 
 Every parallel sweep of the sweep engine runs through this package: a
 coordinator leases cells to workers over a connection, the engine's own
 auto-workers on this host or workers that joined from elsewhere, with
 lease expiry, reclaim, retry budgets and exactly-once commit:
 
-* :mod:`repro.cluster.comm` — one connector API, two backends
-  (``inproc://`` queues for deterministic tests, ``tcp://`` asyncio
-  streams with length-prefixed JSON frames);
+* :mod:`repro.cluster.comm` — length-prefixed JSON frames over a
+  connected stream socket (``tcp://host:port``, or a socketpair shared
+  with a forked worker), read only by the thread that waits on it;
 * :mod:`repro.cluster.coordinator` — leases sweep cells with expiry
   deadlines, detects worker death (closed connection or heartbeat
   silence), reclaims and retries with backoff + jitter, steals tail

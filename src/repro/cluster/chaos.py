@@ -1,13 +1,13 @@
 """Deterministic chaos harness for the cluster backend.
 
 The harness injects worker failures on a **seeded schedule** and proves
-the recovery machinery end to end: a fig5-style sweep executed under
-the inproc cluster backend — while workers stall, get killed, go
-silent, and partition — must produce **bit-identical per-cell metrics**
-to a plain local run, with the failures actually observed (≥1 lease
-expiry, ≥1 reclaim, ≥1 suppressed duplicate commit) in the
-``cluster_*`` telemetry counters, and zero duplicate checkpoint
-commits.  Determinism lives in the results, never the schedule: chaos
+the recovery machinery end to end: a fig5-style sweep executed by a
+coordinator on loopback TCP and worker threads of this process — while
+workers stall, get killed, go silent, and partition — must produce
+**bit-identical per-cell metrics** to a plain local run, with the
+failures actually observed (≥1 lease expiry, ≥1 reclaim, ≥1 suppressed
+duplicate commit) in the ``cluster_*`` telemetry counters, and zero
+duplicate checkpoint commits.  Determinism lives in the results, never the schedule: chaos
 perturbs *when and where* cells execute, and the exactly-once commit
 layer guarantees *what* they produce.
 
@@ -194,12 +194,11 @@ def run_chaos_proof(
     )
     baseline = _metrics_fingerprint(specs, local.run(specs))
 
-    # 2. The same grid under the inproc cluster backend with chaos.
+    # 2. The same grid through a loopback TCP coordinator with chaos.
     #    A fresh cache directory so every cell misses and the checkpoint
     #    records exactly the commits this run made.
     cache_dir = tempfile.mkdtemp(prefix="repro-chaos-")
     tele = Telemetry(enabled=True, heartbeat_interval=HEARTBEAT_INTERVAL)
-    address = f"inproc://chaos-proof-{seed}"
     plan = make_plan(seed=seed, workers=workers, stretch=stretch)
     runner = SweepRunner(
         jobs=1,
@@ -207,7 +206,7 @@ def run_chaos_proof(
         use_cache=True,
         label="chaos-cluster",
         progress=False,
-        cluster=address,
+        cluster="tcp://127.0.0.1:0",
         max_attempts=4,  # headroom: a cell may be hit by several faults
         retry_backoff=0.2 * stretch,
         lease_timeout=LEASE_TIMEOUT * stretch,
@@ -219,7 +218,7 @@ def run_chaos_proof(
     # worker that found no listener would retry after its reconnect
     # delay, join ~0.1 s late with little left to lease, and could see
     # the sweep end before its kill or pause fired.
-    runner._ensure_coordinator()
+    address = runner._ensure_coordinator().address
     spawned = [
         start_worker_thread(
             address,

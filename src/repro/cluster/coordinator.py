@@ -1,6 +1,7 @@
 """The sweep-cell coordinator: leases, liveness, exactly-once commit.
 
-The coordinator owns a :mod:`repro.cluster.comm` listener and drives one
+The coordinator serves :mod:`repro.cluster.comm` connections (from its
+listener, and from the worker processes it forks) and drives one
 :meth:`ClusterCoordinator.execute` call per batch of pending sweep
 cells.  The design generalizes PR 4's simulated-core recovery machinery
 (lease expiry, queue reclaim, exactly-once re-execution, retry budgets)
@@ -45,15 +46,15 @@ The coordinator feeds the telemetry hub's
 :class:`~repro.telemetry.heartbeat.WorkerTable`: one row per executor
 slot of each registered worker, busy while a lease runs there, with the
 run's heartbeats.  The table's straggler check is the only one.  The
-dispatch loop blocks on one wake-up event that every connection and the
-listener set on arrival, so an idle coordinator costs nothing.
+dispatch loop runs on the calling thread and blocks in
+:func:`~repro.cluster.comm.wait` on the listener and every connection,
+so an idle coordinator costs nothing and no other thread is involved.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -169,10 +170,10 @@ class _Remote:
 
 @dataclass
 class _Local:
-    """A worker process the coordinator forked, and its socketpair end."""
+    """A worker process the coordinator forked, and the connection over
+    its socketpair."""
 
     proc: Any  # multiprocessing.Process
-    sock: Any  # socket.socket, owned by ``conn``
     conn: comm.Connection
 
 
@@ -182,9 +183,10 @@ class ClusterCoordinator:
     Parameters
     ----------
     address:
-        Where to listen (``inproc://name`` or ``tcp://host:port``).
-        ``tcp`` port 0 binds ephemerally; :attr:`address` reports the
-        bound endpoint either way.
+        Where to listen (``tcp://host:port``); port 0 binds
+        ephemerally, and :attr:`address` reports the bound endpoint.
+        ``None`` opens no listener: only the worker processes of
+        :meth:`start_local_workers` can join.
     telemetry:
         Hub whose registry receives the ``cluster_*`` metrics.
     max_attempts / retry_backoff:
@@ -221,7 +223,7 @@ class ClusterCoordinator:
 
     def __init__(
         self,
-        address: str,
+        address: Optional[str],
         telemetry: Optional[Telemetry] = None,
         max_attempts: int = 2,
         retry_backoff: float = 0.5,
@@ -242,12 +244,8 @@ class ClusterCoordinator:
             raise ConfigurationError(
                 f"retry_backoff must be >= 0, got {retry_backoff}"
             )
-        self.listener = comm.listen(address)
-        self.address = self.listener.address
-        #: Set by every connection and the listener on arrival; the
-        #: dispatch loop blocks on it when a pass found nothing to do.
-        self._wakeup = threading.Event()
-        self.listener.wakeup = self._wakeup
+        self.listener = None if address is None else comm.listen(address)
+        self.address = None if address is None else self.listener.address
         self.telemetry = telemetry or Telemetry(enabled=False)
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
@@ -369,7 +367,9 @@ class ClusterCoordinator:
         worker.rows = [table.spawn(worker.pid) for _ in range(worker.capacity)]
         worker.idle_rows = list(worker.rows)
         self._workers[worker.name] = worker
-        self._lost_conns.pop(worker.name, None)
+        lost = self._lost_conns.pop(worker.name, None)
+        if lost is not None and lost is not worker.conn:
+            lost.close()  # it came back over a new connection
         self._m_joined.inc()
         self._m_live.set(len(self._workers))
 
@@ -392,6 +392,7 @@ class ClusterCoordinator:
                 keep_zombies=True,
             )
             self._retire_rows(old)
+            old.conn.close()
         worker = _Remote(
             name=name,
             conn=conn,
@@ -500,17 +501,16 @@ class ClusterCoordinator:
         from repro.cluster.worker import local_worker_main
 
         ours, theirs = socket.socketpair()
-        inherited = [ours] + [local.sock for local in self._locals.values()]
+        conn = comm.Connection(ours)
+        inherited = [conn] + [local.conn for local in self._locals.values()]
         proc = multiprocessing.Process(
             target=local_worker_main, args=(theirs, name, inherited),
             name=f"repro-{name}", daemon=True,
         )
         proc.start()
         theirs.close()
-        conn = comm.adopt(ours)
-        conn.wakeup = self._wakeup
         self._pending_conns.append(conn)
-        self._locals[name] = _Local(proc=proc, sock=ours, conn=conn)
+        self._locals[name] = _Local(proc=proc, conn=conn)
 
     def _reap(self, name: str, grace: float) -> Optional[int]:
         """Close local worker ``name``'s connection, give its process
@@ -816,14 +816,13 @@ class ClusterCoordinator:
         """Accept joins and read the register frames of unregistered
         connections; True if anything happened."""
         activity = False
-        while True:
+        while self.listener is not None:
             try:
                 conn = self.listener.accept(timeout=0)
             except comm.ClusterError:
                 break
             if conn is None:
                 break
-            conn.wakeup = self._wakeup
             self._pending_conns.append(conn)
             activity = True
         # Unregistered connections: wait for their register frame.
@@ -848,8 +847,9 @@ class ClusterCoordinator:
     def await_workers(self, count: int, timeout: float) -> None:
         """Return once ``count`` workers have registered.
 
-        Only joins and registrations are processed meanwhile.  Raises
-        :class:`~repro.cluster.comm.ClusterError` when fewer than
+        Only joins and registrations are processed meanwhile, so the
+        wait is on the listener and the unregistered connections alone.
+        Raises :class:`~repro.cluster.comm.ClusterError` when fewer than
         ``count`` have registered after ``timeout`` seconds.
         """
         deadline = time.monotonic() + timeout
@@ -859,9 +859,20 @@ class ClusterCoordinator:
                 raise comm.ClusterError(
                     f"{len(self._workers)} of {count} workers registered"
                 )
-            self._wakeup.clear()
             if not self._accept(time.monotonic()):
-                self._wakeup.wait(left)
+                comm.wait(self._endpoints(registered=False), left)
+
+    def _endpoints(self, registered: bool = True) -> List[Any]:
+        """What the loop waits on: the listener, the unregistered
+        connections and, unless ``registered`` is False, those of the
+        registered and the lost workers."""
+        endpoints: List[Any] = list(self._pending_conns)
+        if self.listener is not None:
+            endpoints.append(self.listener)
+        if registered:
+            endpoints.extend(w.conn for w in self._workers.values())
+            endpoints.extend(self._lost_conns.values())
+        return endpoints
 
     def _pump(self, now: float) -> bool:
         """Accept joins and drain every connection; True if anything
@@ -1135,9 +1146,6 @@ class ClusterCoordinator:
         parked_since: Optional[float] = None
         last_park_log = 0.0
         while self._unresolved:
-            # Cleared before the connections are drained, so anything
-            # that arrives from here on wakes the wait below.
-            self._wakeup.clear()
             now = time.monotonic()
             activity = self._pump(now)
             self._check_liveness(now)
@@ -1175,14 +1183,18 @@ class ClusterCoordinator:
                 )
                 parked_since = None
             if not activity:
-                self._wakeup.wait(self._nap(now))
+                # Whatever arrived since the pump is still readable, so
+                # the wait returns at once for it.
+                comm.wait(self._endpoints(), self._nap(now))
         # Linger briefly for duplicate results from reclaimed-but-alive
         # leases so they are observed (and suppressed) rather than left
         # to hit a closed socket.
         drain_until = time.monotonic() + self.drain_timeout
         while self._zombies and time.monotonic() < drain_until:
             if not self._pump(time.monotonic()):
-                time.sleep(0.01)
+                comm.wait(
+                    self._endpoints(), drain_until - time.monotonic()
+                )
             self._check_liveness(time.monotonic())
         self._on_resolved = None
         return self._report
@@ -1224,7 +1236,8 @@ class ClusterCoordinator:
             self._reap(name, 0.0 if busy else SHUTDOWN_GRACE)
         self._workers.clear()
         self._m_live.set(0)
-        self.listener.close()
+        if self.listener is not None:
+            self.listener.close()
 
 
 __all__ = [

@@ -15,9 +15,10 @@ Executor threads run leases via
 :func:`~repro.sweep.registry.execute_spec`, ``capacity`` at a time, and
 send their ``started`` and ``result`` messages straight over the
 connection (a worker under chaos queues them for the main loop
-instead).  The main loop blocks on one wake-up event, set by inbound
-messages and by anything queued for it; it takes in leases, flushes
-queued messages, and
+instead).  The main loop is the only reader of the connection.  It
+blocks in :func:`~repro.cluster.comm.wait` on the connection and a
+doorbell socket, which :meth:`ClusterWorker.stop` and any message queued
+for the loop ring; it takes in leases, flushes queued messages, and
 heartbeats every ``heartbeat_interval`` (the coordinator's, adopted
 from its welcome) — so a slow run keeps heartbeating (straggler, never
 killed) while a paused or GIL-bound worker goes silent (the
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import socket
 import threading
 import time
 from collections import deque
@@ -154,9 +156,11 @@ class ClusterWorker:
         #: Wakes executor threads the moment a lease lands; shares
         #: ``_lock`` so intake and revoke stay serialized.
         self._lease_cv = threading.Condition(self._lock)
-        #: Wakes the main loop: set by inbound messages (the
-        #: connection's ``wakeup``), by queued outbound ones and by stop.
-        self._wakeup = threading.Event()
+        #: Wakes the main loop from other threads: a byte written to
+        #: ``_ringer`` makes ``_bell`` readable.  Closed when run() ends.
+        self._bell, self._ringer = socket.socketpair()
+        self._bell.setblocking(False)
+        self._ringer.setblocking(False)
         self._leases: deque = deque()  # granted, not yet picked up
         self._active: Dict[str, _ActiveRun] = {}
         self._outbox: deque = deque()  # messages awaiting a live conn
@@ -185,7 +189,7 @@ class ClusterWorker:
                 continue
             try:
                 conn = comm.connect(self.address)
-            except comm.ClusterError:
+            except comm.ClusterUnavailable:
                 if deadline is not None and time.monotonic() >= deadline:
                     return False
                 time.sleep(delay)
@@ -197,15 +201,17 @@ class ClusterWorker:
 
     def _attach(self, conn: comm.Connection) -> None:
         """Register over ``conn`` and serve it from here on."""
-        conn.wakeup = self._wakeup
-        conn.send(
-            {
-                "type": protocol.MSG_REGISTER,
-                "name": self.name,
-                "capacity": self.capacity,
-                "pid": os.getpid(),
-            }
-        )
+        try:
+            conn.send(
+                {
+                    "type": protocol.MSG_REGISTER,
+                    "name": self.name,
+                    "capacity": self.capacity,
+                    "pid": os.getpid(),
+                }
+            )
+        except comm.ClusterError:
+            pass  # the peer is gone already; the main loop's recv says so
         self._conn = conn
         # Registering is proof of life: the first heartbeat is due one
         # interval from now.
@@ -234,7 +240,7 @@ class ClusterWorker:
                 except comm.ClusterError:
                     pass
             self._outbox.append(message)
-        self._wakeup.set()
+        self._ring()
 
     def _flush(self) -> bool:
         """Push the outbox over the live connection; False on failure."""
@@ -281,7 +287,14 @@ class ClusterWorker:
         with self._lease_cv:
             self._running = False
             self._lease_cv.notify_all()
-        self._wakeup.set()
+        self._ring()
+
+    def _ring(self) -> None:
+        """Wake the main loop out of its wait."""
+        try:
+            self._ringer.send(b"\0")
+        except OSError:
+            pass  # already ringing (buffer full), or run() has ended
 
     def _take_lease(self, wait: float = 0.0) -> Optional[Dict[str, Any]]:
         with self._lease_cv:
@@ -335,14 +348,11 @@ class ClusterWorker:
             active = _ActiveRun(lease_id, key)
             with self._lock:
                 self._active[lease_id] = active
+            # Sent before the run begins, so a run that takes this
+            # process down with it is still charged an attempt.
             self._post(
                 {"type": protocol.MSG_STARTED, "lease": lease_id, "key": key}
             )
-            conn = self._conn
-            if conn is not None:
-                # The coordinator must know the run started before the
-                # run can take this process down with it.
-                conn.flush()
             if self.chaos is not None:
                 stall = self.chaos.stall_before(run_index)
                 if stall > 0:
@@ -429,9 +439,6 @@ class ClusterWorker:
                 if self._conn is None:
                     if not self._connect():
                         break
-                # Cleared before the connection is drained, so anything
-                # that arrives from here on wakes the wait below.
-                self._wakeup.clear()
                 try:
                     message = self._conn.recv(timeout=0)
                     while message is not None:
@@ -449,7 +456,15 @@ class ClusterWorker:
                     continue
                 self._heartbeat()
                 self._apply_chaos()
-                self._wakeup.wait(self._heartbeat_due())
+                if self._conn is None:
+                    continue  # a chaos partition: reconnect
+                ready = comm.wait(
+                    [self._conn, self._bell], self._heartbeat_due()
+                )
+                if self._bell in ready:
+                    # Silenced before the pass that serves the rings, so
+                    # a later ring wakes the next wait.
+                    self._bell.recv(4096)
         finally:
             self._halt()
             if self._conn is not None and not self._killed:
@@ -461,6 +476,8 @@ class ClusterWorker:
             for thread in self._executors:
                 thread.join(timeout=5.0)
             self._executors.clear()
+            self._bell.close()
+            self._ringer.close()
 
     def stop(self) -> None:
         """Ask the worker loop to exit (thread-safe); its executors wake
@@ -488,17 +505,16 @@ def local_worker_main(sock, name: str, inherited) -> None:
     (:meth:`~repro.cluster.coordinator.ClusterCoordinator.start_local_workers`).
 
     ``sock`` is this process's end of its socketpair.  ``inherited``
-    holds the coordinator's ends of every local socketpair; closing
-    their copies here means a process sees end-of-stream, and exits,
-    once the coordinator's end closes or its process dies.  Returning
-    from here (exit code 0) lets exit handlers such as a tracer's
-    span dump run.
+    holds the coordinator's connections over every local socketpair;
+    closing their copies here means a process sees end-of-stream, and
+    exits, once the coordinator's end closes or its process dies.
+    Returning from here (exit code 0) lets exit handlers such as a
+    tracer's span dump run.
     """
-    comm.reset_after_fork()
-    for end in inherited:
-        end.close()
+    for conn in inherited:
+        conn.close()
     worker = ClusterWorker(None, name=name)
-    worker._attach(comm.adopt(sock))
+    worker._attach(comm.Connection(sock))
     worker.run()
 
 
@@ -529,7 +545,7 @@ def main(argv=None) -> int:
         "--connect",
         required=True,
         metavar="ADDR",
-        help="coordinator address (tcp://host:port or inproc://name)",
+        help="coordinator address (tcp://host:port)",
     )
     parser.add_argument(
         "--name", default=None,
@@ -552,6 +568,10 @@ def main(argv=None) -> int:
         "(default 30; 0 fails fast)",
     )
     args = parser.parse_args(argv)
+    try:
+        comm.parse_address(args.connect)
+    except comm.ClusterError as exc:
+        parser.error(str(exc))
     name = args.name or f"worker-{os.getpid()}"
 
     def start(slot: int):

@@ -68,8 +68,8 @@ class ExperimentSettings:
     ``cluster`` picks where the coordinator that every parallel sweep
     runs through listens (see ``docs/cluster.md``): ``"inproc"`` is the
     self-contained default of ``jobs > 1`` (and also sends single-spec
-    rounds through its auto-workers), while an ``inproc://name`` or
-    ``tcp://host:port`` address waits for external workers to join.
+    rounds through its auto-workers), while a ``tcp://host:port``
+    address waits for external workers to join.
     Caching, checkpoints and retry budgets behave identically; results
     are bit-identical to a serial run.
 
@@ -138,13 +138,16 @@ class ExperimentSettings:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.cluster is not None and (
-            self.cluster != "inproc" and "://" not in self.cluster
-        ):
-            raise ConfigurationError(
-                "cluster must be 'inproc' or a connector address like "
-                f"'tcp://host:port', got {self.cluster!r}"
-            )
+        if self.cluster is not None and self.cluster != "inproc":
+            from repro.cluster.comm import ClusterError, parse_address
+
+            try:
+                parse_address(self.cluster)
+            except ClusterError:
+                raise ConfigurationError(
+                    "cluster must be 'inproc' or tcp://host:port, got "
+                    f"{self.cluster!r}"
+                ) from None
 
     @property
     def telemetry_enabled(self) -> bool:

@@ -207,8 +207,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="ADDR",
         help="where the sweep coordinator listens: 'inproc' (the "
-        "self-contained --jobs path, also for single-spec rounds), or an "
-        "'inproc://name' / 'tcp://host:port' address where remote workers "
+        "self-contained --jobs path, also for single-spec rounds), or a "
+        "'tcp://host:port' address where remote workers "
         "(python -m repro.cluster.worker --connect ADDR) join (see "
         "docs/cluster.md)",
     )

@@ -356,11 +356,11 @@ class SweepRunner:
         enable both together.
     cluster:
         Where the coordinator listens (see ``docs/cluster.md``).
-        ``None`` and ``"inproc"`` are the same: an automatic in-process
-        address served by the auto-workers described under ``jobs``,
+        ``None`` and ``"inproc"`` are the same: a coordinator without a
+        listener, served by the auto-workers described under ``jobs``,
         except that ``"inproc"`` sends even a one-spec round through
-        them.  An explicit ``inproc://name`` or ``tcp://host:port``
-        address listens there and waits for external workers
+        them.  A ``tcp://host:port`` address listens there and waits
+        for external workers
         (``python -m repro.cluster.worker --connect ...``) to join.
         Caching, checkpointing, ``resume`` and retry budgets work
         identically; results are bit-identical to a serial run.
@@ -974,21 +974,19 @@ class SweepRunner:
         automatic.
 
         An explicit address keeps its coordinator until :meth:`close`.
-        The automatic one and its worker processes live for one
-        run()/run_adaptive() call: its first coordinated round creates
-        them, later rounds reuse them (topping them up to the round's
-        ``workers``), and the call ends with
+        The automatic one opens no listener, so only its own worker
+        processes can join, over their socketpairs.  It and they live
+        for one run()/run_adaptive() call: its first coordinated round
+        creates them, later rounds reuse them (topping them up to the
+        round's ``workers``), and the call ends with
         :meth:`_stop_cluster_workers`.
         """
         auto = self.cluster in (None, "inproc")
         if self._coordinator is None:
             from repro.cluster.coordinator import ClusterCoordinator
 
-            address = self.cluster
-            if auto:
-                address = f"inproc://sweep-{self.label}-{id(self):x}"
             self._coordinator = ClusterCoordinator(
-                address,
+                None if auto else self.cluster,
                 telemetry=self.telemetry,
                 max_attempts=self.max_attempts,
                 retry_backoff=self.retry_backoff,

@@ -8,9 +8,12 @@ therefore stick to spec kinds from the built-in registry.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -93,59 +96,76 @@ def _auto_worker_threads():
 
 
 class TestComm:
-    def test_inproc_roundtrip_value_space(self):
-        listener = comm.listen("inproc://t-roundtrip")
-        client = comm.connect(listener.address)
-        server = listener.accept(timeout=1.0)
+    def _pair(self):
+        """A listener on a loopback port, a client connection to it and
+        the server's end of that connection."""
+        listener = comm.listen("tcp://127.0.0.1:0")
+        client = comm.connect(listener.address, timeout=5.0)
+        server = listener.accept(timeout=5.0)
         assert server is not None
-        client.send({"type": "hello", "tuple": (1, 2)})
-        got = server.recv(timeout=1.0)
-        # Messages cross in JSON value space even in-process: a tuple
-        # arrives as a list, exactly as it would over TCP.
-        assert got == {"type": "hello", "tuple": [1, 2]}
-        server.send({"ok": True})
-        assert client.recv(timeout=1.0) == {"ok": True}
-        client.close()
-        server.close()
-        listener.close()
+        return listener, client, server
 
-    def test_inproc_duplicate_address_rejected(self):
-        listener = comm.listen("inproc://t-dup")
+    @staticmethod
+    def _frame(message) -> bytes:
+        data = json.dumps(message).encode("utf-8")
+        return struct.pack(">I", len(data)) + data
+
+    def test_roundtrip_value_space(self):
+        listener, client, server = self._pair()
+        try:
+            client.send({"type": "hello", "tuple": (1, 2)})
+            got = server.recv(timeout=1.0)
+            # Messages cross in JSON value space: a tuple arrives as a
+            # list.
+            assert got == {"type": "hello", "tuple": [1, 2]}
+            server.send({"ok": True})
+            assert client.recv(timeout=1.0) == {"ok": True}
+        finally:
+            client.close()
+            server.close()
+            listener.close()
+
+    def test_duplicate_address_rejected(self):
+        listener = comm.listen("tcp://127.0.0.1:0")
+        address = listener.address
         try:
             with pytest.raises(comm.AddressInUse):
-                comm.listen("inproc://t-dup")
+                comm.listen(address)
         finally:
             listener.close()
-        # Closing releases the name for reuse.
-        comm.listen("inproc://t-dup").close()
+        # Closing releases the address for reuse.
+        comm.listen(address).close()
 
     def test_recv_timeout_returns_none(self):
-        listener = comm.listen("inproc://t-timeout")
-        client = comm.connect(listener.address)
-        server = listener.accept(timeout=1.0)
-        assert server.recv(timeout=0.05) is None
-        client.close()
-        server.close()
-        listener.close()
+        listener, client, server = self._pair()
+        try:
+            assert server.recv(timeout=0.05) is None
+        finally:
+            client.close()
+            server.close()
+            listener.close()
 
     def test_closed_peer_raises_after_drain(self):
-        listener = comm.listen("inproc://t-closed")
-        client = comm.connect(listener.address)
-        server = listener.accept(timeout=1.0)
-        client.send({"n": 1})
-        client.close()
-        # The queued message is still delivered before the closed
-        # connection surfaces as an error.
-        assert server.recv(timeout=1.0) == {"n": 1}
-        with pytest.raises(comm.ConnectionClosed):
-            for _ in range(100):
-                server.recv(timeout=0.05)
-        server.close()
-        listener.close()
+        listener, client, server = self._pair()
+        try:
+            client.send({"n": 1})
+            client.close()
+            # The queued message is still delivered before the closed
+            # connection surfaces as an error.
+            assert server.recv(timeout=1.0) == {"n": 1}
+            with pytest.raises(comm.ConnectionClosed):
+                for _ in range(100):
+                    server.recv(timeout=0.05)
+        finally:
+            server.close()
+            listener.close()
 
-    def test_connect_unknown_inproc_address_fails(self):
+    def test_connect_refused_port_fails(self):
+        listener = comm.listen("tcp://127.0.0.1:0")
+        address = listener.address
+        listener.close()
         with pytest.raises(comm.ClusterUnavailable):
-            comm.connect("inproc://nobody-here", timeout=0.1)
+            comm.connect(address, timeout=0.1)
 
     def test_tcp_roundtrip_on_ephemeral_port(self):
         listener = comm.listen("tcp://127.0.0.1:0")
@@ -163,17 +183,92 @@ class TestComm:
         server.close()
         listener.close()
 
+    def test_frames_written_together_both_arrive(self):
+        listener, client, server = self._pair()
+        try:
+            client._sock.sendall(self._frame({"n": 1}) + self._frame({"n": 2}))
+            assert server.recv(timeout=5.0) == {"n": 1}
+            assert server.recv(timeout=5.0) == {"n": 2}
+        finally:
+            client.close()
+            server.close()
+            listener.close()
+
+    def test_frame_split_across_writes_arrives_whole(self):
+        listener, client, server = self._pair()
+        frame = self._frame({"type": "split", "payload": "x" * 1000})
+        try:
+            for cut in (2, 500):  # inside the header, inside the body
+                client._sock.sendall(frame[:cut])
+                assert server.recv(timeout=0.05) is None
+                client._sock.sendall(frame[cut:])
+                assert server.recv(timeout=5.0) == {
+                    "type": "split", "payload": "x" * 1000
+                }
+        finally:
+            client.close()
+            server.close()
+            listener.close()
+
+    def test_wait_returns_at_once_for_a_buffered_frame(self):
+        listener, client, server = self._pair()
+        try:
+            client._sock.sendall(self._frame({"n": 1}) + self._frame({"n": 2}))
+            assert server.recv(timeout=5.0) == {"n": 1}
+            # Frame 2 sits in the connection's buffer, not the socket's.
+            start = time.monotonic()
+            assert comm.wait([listener, server], 5.0) == [server]
+            assert time.monotonic() - start < 1.0
+            assert server.recv(timeout=0) == {"n": 2}
+            start = time.monotonic()
+            assert comm.wait([listener, server], 0.2) == []
+            assert time.monotonic() - start >= 0.19
+        finally:
+            client.close()
+            server.close()
+            listener.close()
+
+    def test_forked_child_closing_its_copy_leaves_connection_working(self):
+        a, b = socket.socketpair()
+        ours, theirs = comm.Connection(a), comm.Connection(b)
+        try:
+            child = multiprocessing.Process(target=theirs.close)
+            child.start()
+            child.join(timeout=10.0)
+            assert child.exitcode == 0
+            ours.send({"n": 1})
+            assert theirs.recv(timeout=5.0) == {"n": 1}
+            theirs.send({"n": 2})
+            assert ours.recv(timeout=5.0) == {"n": 2}
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_tcp_connections_set_nodelay(self):
+        listener, client, server = self._pair()
+        try:
+            for conn in (client, server):
+                assert conn._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+        finally:
+            client.close()
+            server.close()
+            listener.close()
+
 
 class TestCoordinator:
     """Direct coordinator/worker tests, no sweep runner involved."""
 
-    def _coordinator(self, name, **kw):
+    def _coordinator(self, address="tcp://127.0.0.1:0", **kw):
+        """A coordinator listening on a loopback port; ``address=None``
+        opens no listener (local worker processes only)."""
         kw.setdefault("telemetry", Telemetry(enabled=True))
         kw.setdefault("retry_backoff", 0.05)
-        return ClusterCoordinator(f"inproc://{name}", **kw)
+        return ClusterCoordinator(address, **kw)
 
     def test_basic_lease_execution(self):
-        coord = self._coordinator("t-basic")
+        coord = self._coordinator()
         workers = [
             start_worker_thread(coord.address, name=f"w{i}", capacity=1)
             for i in range(2)
@@ -194,7 +289,7 @@ class TestCoordinator:
 
     def test_parked_sweep_resumes_when_worker_joins(self):
         tele = Telemetry(enabled=True)
-        coord = self._coordinator("t-park", telemetry=tele)
+        coord = self._coordinator(telemetry=tele)
         specs = [_spec("cluster_echo", value=v) for v in range(3)]
         box = {}
 
@@ -221,7 +316,7 @@ class TestCoordinator:
 
         tele = Telemetry(enabled=True)
         coord = self._coordinator(
-            "t-death", telemetry=tele, max_attempts=3, liveness_timeout=0.6
+            telemetry=tele, max_attempts=3, liveness_timeout=0.6
         )
         counter = tmp_path / "c"
         specs = [
@@ -253,7 +348,7 @@ class TestCoordinator:
 
     def test_unstarted_backlog_is_stolen_by_idle_worker(self, tmp_path):
         tele = Telemetry(enabled=True)
-        coord = self._coordinator("t-steal", telemetry=tele)
+        coord = self._coordinator(telemetry=tele)
         counter = tmp_path / "c"
         # Two slow cells: capacity-1 worker gets both leases (backlog
         # factor 2) but can only run one at a time.
@@ -285,8 +380,8 @@ class TestCoordinator:
             idle.stop()
 
     def test_worker_reregisters_after_coordinator_restart(self):
-        address = "inproc://t-restart"
-        first = self._coordinator("t-restart")
+        first = self._coordinator()
+        address = first.address
         worker = start_worker_thread(
             address,
             name="steady",
@@ -304,7 +399,8 @@ class TestCoordinator:
             first.listener.close()
             for remote in first._workers.values():
                 remote.conn.close()
-            second = self._coordinator("t-restart")
+            # The restarted coordinator listens at the same address.
+            second = self._coordinator(address)
             try:
                 report_b = second.execute(_jobs(specs_b))
                 assert all(
@@ -329,7 +425,7 @@ class TestCoordinator:
         ).run(specs)
         started = process_starts
         tele = Telemetry(enabled=True)
-        coord = self._coordinator("t-local-kill", telemetry=tele)
+        coord = self._coordinator(None, telemetry=tele)
         killed = {}
 
         def tick(_queue_depth, _busy, _live):
@@ -366,7 +462,7 @@ class TestCoordinator:
         without a shutdown, ends that process by itself — even though a
         later-forked sibling inherited a copy of that end."""
         started = process_starts
-        coord = self._coordinator("t-local-eof")
+        coord = self._coordinator(None)
         try:
             coord.start_local_workers(2)
             coord.await_workers(2, timeout=10.0)
@@ -379,14 +475,29 @@ class TestCoordinator:
             coord.close()
         assert not any(proc.is_alive() for proc in started)
 
+    def test_local_worker_exits_0_when_its_coordinator_left_first(self):
+        """A worker process whose coordinator closed its end before the
+        register frame could be written exits 0, as after a shutdown."""
+        from repro.cluster.worker import local_worker_main
+
+        ours, theirs = socket.socketpair()
+        ours.close()
+        proc = multiprocessing.Process(
+            target=local_worker_main, args=(theirs, "early", [])
+        )
+        proc.start()
+        theirs.close()
+        proc.join(timeout=10.0)
+        assert proc.exitcode == 0
+
     def test_closed_coordinator_rejects_execute(self):
-        coord = self._coordinator("t-closed-exec")
+        coord = self._coordinator()
         coord.close()
         with pytest.raises(comm.ClusterError):
             coord.execute([])
 
     def test_await_workers_returns_once_all_registered(self):
-        coord = self._coordinator("t-await")
+        coord = self._coordinator()
         workers = [
             start_worker_thread(coord.address, name=f"w{i}", capacity=1)
             for i in range(2)
@@ -541,8 +652,9 @@ class TestClusterSweep:
     def test_sweep_process_runs_no_thread_per_auto_worker(
         self, tmp_path, monkeypatch
     ):
-        """Mid-round the sweep process runs its own threads plus at most
-        the shared IO thread: each auto-worker is a process of its own."""
+        """Mid-round the sweep process runs no thread besides its own:
+        each auto-worker is a process of its own, and no thread does
+        the coordinator's I/O."""
         serial = self._serial(tmp_path)
         before = set(threading.enumerate())
         runner = self._runner(tmp_path, jobs=2)
@@ -561,7 +673,63 @@ class TestClusterSweep:
         assert rows == serial
         assert snapshots
         new = {t.name for snap in snapshots for t in snap if t not in before}
-        assert new <= {"repro-cluster-io"}, new
+        assert new == set(), new
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="reads /proc/<pid>/task"
+    )
+    def test_each_auto_worker_process_runs_two_threads(
+        self, tmp_path, monkeypatch
+    ):
+        """Mid-round each auto-worker process runs its main loop and one
+        executor, and no I/O thread."""
+        runner = self._runner(tmp_path, jobs=2)
+        original = runner._record_success
+        counts = []
+
+        def record_success(*args, **kwargs):
+            counts.append([
+                len(os.listdir(f"/proc/{local.proc.pid}/task"))
+                for local in runner._coordinator._locals.values()
+            ])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_record_success", record_success)
+        try:
+            runner.run_adaptive(self._cells(), self.POLICY)
+        finally:
+            runner.close()
+        assert counts and len(counts[-1]) == 2
+        # A process that has just registered may not have started its
+        # executor yet; none ever runs a third thread.
+        assert all(n <= 2 for snap in counts for n in snap), counts
+        assert counts[-1] == [2, 2], counts
+
+    def test_parallel_sweep_never_imports_asyncio(self):
+        """A fresh interpreter that runs a jobs=2 sweep of real cells
+        ends without ``asyncio`` (and the ``ssl`` it loads) imported."""
+        code = (
+            "import sys\n"
+            "from repro.sweep import RunSpec, SweepRunner\n"
+            "specs = [RunSpec(kind='single', params={'workload': "
+            "{'name': 'layered', 'kernel': 'copy', 'parallelism': 2, "
+            "'total': 16}, 'machine': 'jetson_tx2', 'scheduler': s}, "
+            "seed=1, metrics=('throughput',)) for s in ('rws', 'dam-c', "
+            "'fam-c')]\n"
+            "rows = SweepRunner(jobs=2, use_cache=False, progress=False)"
+            ".run(specs)\n"
+            "assert len(rows) == 3 and all('throughput' in r for r in rows)\n"
+            "print(sorted(m for m in ('asyncio', 'ssl') if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_each_cell_executes_exactly_once(self, tmp_path):
         counter = tmp_path / "c"
@@ -679,7 +847,7 @@ class TestClusterSweep:
 
 class TestChaosProof:
     def test_chaos_run_bit_identical_with_faults_observed(self):
-        # Seeded kills/pauses/stalls against an inproc cluster: results
+        # Seeded kills/pauses/stalls against a loopback cluster: results
         # must match the local pool bit-for-bit, with at least one lease
         # expiry, one reclaim and one suppressed duplicate observed.
         counters = run_chaos_proof(seed=0, log=lambda *a, **k: None)
@@ -819,6 +987,15 @@ class TestWorkerEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("address", ["inproc://x", "tcp://host:notaport"])
+    def test_malformed_connect_address_exits_2(self, capsys, address):
+        from repro.cluster.worker import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--connect", address])
+        assert exc.value.code == 2
+        assert "tcp://host:port" in capsys.readouterr().err
+
 
 class TestSettingsValidation:
     def test_cluster_address_validated(self):
@@ -828,6 +1005,18 @@ class TestSettingsValidation:
             ExperimentSettings(cluster="bogus")
         ExperimentSettings(cluster="inproc")
         ExperimentSettings(cluster="tcp://127.0.0.1:7777")
+
+    @pytest.mark.parametrize("address", [
+        "udp://127.0.0.1:1", "tcp://127.0.0.1:notaport", "inproc://x",
+        "tcp://127.0.0.1:70000", "tcp://:1",
+    ])
+    def test_malformed_cluster_address_is_a_configuration_error(
+        self, address
+    ):
+        from repro.experiments.common import ExperimentSettings
+
+        with pytest.raises(ConfigurationError, match="tcp://host:port"):
+            ExperimentSettings(cluster=address)
 
 
 @executor("chaos_raise_cluster")

@@ -192,6 +192,22 @@ class TestFramedProtocolRobustness:
         finally:
             listener.close()
 
+    def test_non_object_json_frame_closes_connection(self):
+        """Every protocol message is a JSON object; a frame holding any
+        other JSON value ends the stream instead of reaching the
+        coordinator's message handling."""
+        listener = self._listener()
+        try:
+            sock = self._raw_send(
+                self._port(listener), struct.pack(">I", 6) + b"[1, 2]"
+            )
+            server = listener.accept(timeout=2.0)
+            assert server is not None
+            self._assert_closes(server)
+            sock.close()
+        finally:
+            listener.close()
+
     def test_oversized_frame_closes_connection(self):
         listener = self._listener()
         try:
@@ -264,7 +280,7 @@ class TestBatchedLeasing:
 
     def test_batched_lease_revoke_still_two_phase(self):
         """A granted lease is revocable on its own, in two phases."""
-        coord = ClusterCoordinator("inproc://t-batch-revoke")
+        coord = ClusterCoordinator(None)
         sink = _FrameSink()
         worker = _Remote(name="w0", conn=sink, capacity=2)
         coord._workers["w0"] = worker
@@ -299,7 +315,7 @@ class TestBatchedLeasing:
         """The head of the queue (the longest cell: the engine orders
         cells longest-first) goes to the worker holding the fewest
         leases, however fast either worker finished its earlier runs."""
-        coord = ClusterCoordinator("inproc://t-placement")
+        coord = ClusterCoordinator(None)
         busy_sink, idle_sink = _FrameSink(), _FrameSink()
         busy = _Remote(name="busy", conn=busy_sink, capacity=1)
         idle = _Remote(name="idle", conn=idle_sink, capacity=1)
@@ -336,7 +352,7 @@ class TestBatchedLeasing:
 
     def test_leased_index_tracks_grant_and_result(self):
         """Satellite: expiry rescans walk only workers holding leases."""
-        coord = ClusterCoordinator("inproc://t-leased-index")
+        coord = ClusterCoordinator(None)
         sink = _FrameSink()
         worker = _Remote(name="w0", conn=sink)
         cell = _Cell(key="k", spec=_spec(0))
@@ -362,7 +378,7 @@ class TestDecodeFailureRetry:
         whose spec rebuilds another key fails with kind="decode" before
         anything executes, and nothing is committed under the key."""
         spec_a, spec_b = _spec(101), _spec(102)
-        coord = ClusterCoordinator("inproc://t-lease-key", max_attempts=1)
+        coord = ClusterCoordinator("tcp://127.0.0.1:0", max_attempts=1)
         worker = start_worker_thread(coord.address, name="w0")
         _EXECUTED.clear()
         try:
@@ -379,7 +395,7 @@ class TestDecodeFailureRetry:
     def test_decode_result_requeues_with_backoff(self):
         """A kind="decode" result is an infrastructure failure: the cell
         is requeued with backoff, not resolved."""
-        coord = ClusterCoordinator("inproc://t-decode-retry")
+        coord = ClusterCoordinator(None)
         sink = _FrameSink()
         worker = _Remote(name="w0", conn=sink)
         coord._workers["w0"] = worker

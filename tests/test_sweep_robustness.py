@@ -279,7 +279,7 @@ class TestStragglers:
 
         tele = Telemetry(enabled=True)
         coord = ClusterCoordinator(
-            "inproc://strag-alive", telemetry=tele,
+            "tcp://127.0.0.1:0", telemetry=tele,
             liveness_timeout=0.4, retry_backoff=0.05,
         )
         worker = start_worker_thread(
@@ -310,7 +310,7 @@ class TestStragglers:
 
         tele = Telemetry(enabled=True)
         coord = ClusterCoordinator(
-            "inproc://strag-silent", telemetry=tele,
+            "tcp://127.0.0.1:0", telemetry=tele,
             liveness_timeout=0.4, retry_backoff=0.05, max_attempts=3,
         )
         specs = [
@@ -727,6 +727,18 @@ class TestCliExitCodes:
             cli.main(["fig4", "--cluster", "bogus"]) == cli.EXIT_USER_ERROR
         )
         assert "cluster" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", [
+        "udp://127.0.0.1:1", "tcp://127.0.0.1:notaport", "inproc://mine",
+    ])
+    def test_malformed_cluster_address_exits_2(self, capsys, address):
+        assert (
+            cli.main(["fig4", "--no-cache", "--cluster", address])
+            == cli.EXIT_USER_ERROR
+        )
+        err = capsys.readouterr().err
+        assert "tcp://host:port" in err
+        assert "internal error" not in err
 
     def test_exhausted_retry_budget_exits_4(self, capsys, monkeypatch,
                                             tmp_path):
