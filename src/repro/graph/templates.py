@@ -66,24 +66,37 @@ class DagTemplate:
         return cls(graph.name, nodes)
 
     def instantiate(self, name: Optional[str] = None) -> TaskGraph:
-        """A fresh graph structurally identical to the captured one."""
+        """A fresh graph structurally identical to the captured one.
+
+        Each task's slots are filled straight from its node, without
+        ``Task.__init__``: the node already holds the normalized
+        priority and the label, so only the metadata needs a fresh copy.
+        """
         graph = TaskGraph(name or self.name)
         tasks = graph._tasks
         fresh = graph._fresh_ready
+        new_task = Task.__new__
+        waiting, ready = TaskState.WAITING, TaskState.READY
         built: List[Task] = []
         for task_id, (kernel, priority, label, metadata, dep_ids) in enumerate(
             self.nodes
         ):
-            task = Task(
-                task_id, kernel, priority=priority, label=label,
-                metadata=metadata,
-            )
+            task = new_task(Task)
+            task.task_id = task_id
+            task.kernel = kernel
+            task.priority = priority
+            task.label = label
+            task.metadata = dict(metadata) if metadata else {}
+            task.spawn = None
+            task._dependents = []
             if dep_ids:
+                task.state = waiting
                 task._pending_deps = len(dep_ids)
                 for dep in dep_ids:
                     built[dep]._dependents.append(task)
             else:
-                task.state = TaskState.READY
+                task.state = ready
+                task._pending_deps = 0
                 fresh.append(task)
             tasks[task_id] = task
             built.append(task)

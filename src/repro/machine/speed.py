@@ -77,8 +77,7 @@ class ActiveWork:
         "done",
         "started_at",
         "_rate",
-        "_version",
-        "_marker",
+        "_check_seq",
     )
 
     def __init__(
@@ -99,9 +98,11 @@ class ActiveWork:
         self.done: Event = Event(env)
         self.started_at = env.now
         self._rate = 0.0
-        self._version = 0
-        #: The pending completion-check event, cancelled on re-time.
-        self._marker: Optional[Event] = None
+        #: Heap sequence number of the pending completion check (-1 when
+        #: none), cancelled on re-time.  The check event carries the item
+        #: as its value; the item keeps only the number, so the two never
+        #: form a reference cycle.
+        self._check_seq = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -376,7 +377,6 @@ class SpeedModel:
         del self._domain_items[item.domain][item.work_id]
         self._demand_totals[item.domain] -= item.demand
         self._cancel_marker(item)
-        item._version += 1
         self._retime_affected(sorted(freed), {item.domain: factor_before})
 
     def add_external_demand(self, domain: str, amount: float) -> None:
@@ -573,7 +573,6 @@ class SpeedModel:
             self._demand_totals[item.domain] -= item.demand
             self._cancel_marker(item)
         for item in finished:
-            item._version += 1
             item.done.succeed(self.env.now - item.started_at)
         return freed, factors_before
 
@@ -679,46 +678,39 @@ class SpeedModel:
         """
         m = item.memory_intensity
         rate = compute_rate * ((1.0 - m) + m * factor)
-        marker = item._marker
-        if rate == item._rate and marker is not None and not marker.processed:
+        seq = item._check_seq
+        if rate == item._rate and seq >= 0:
             return
         item._rate = rate
-        item._version += 1
-        if marker is not None:
-            item._marker = None
-            if not marker.processed:
-                self.env._queue.cancel(marker)
+        if seq >= 0:
+            item._check_seq = -1
+            self.env._queue.cancel_seq(seq)
         if rate > 0:
-            self._schedule_check(item, item._version, item.remaining / rate)
+            self._schedule_check(item, item.remaining / rate)
 
     def _cancel_marker(self, item: ActiveWork) -> None:
         """Retract the item's pending completion check, if any."""
-        marker = item._marker
-        if marker is not None:
-            item._marker = None
-            if not marker.processed:
-                self.env._queue.cancel(marker)
+        seq = item._check_seq
+        if seq >= 0:
+            item._check_seq = -1
+            self.env._queue.cancel_seq(seq)
 
-    def _schedule_check(self, item: ActiveWork, version: int, eta: float) -> None:
+    def _schedule_check(self, item: ActiveWork, eta: float) -> None:
         """Queue a completion check for ``item`` at ``now + eta``.
 
-        Superseded checks are cancelled on re-time; the version guard stays
-        as a backstop against a marker firing in the same timestamp batch.
+        A check is cancelled whenever its item is re-timed, completed or
+        cancelled, and a cancelled check never fires; so a check that
+        fires is its item's current one.
         """
-
-        def _check(_event: Event, item=item, version=version) -> None:
-            # Markers are pooled: drop the handle before the environment
-            # recycles the event, so a stale reference can never alias a
-            # later reuse of the same object.
-            if item._marker is _event:
-                item._marker = None
-            if item.work_id not in self._active or item._version != version:
-                return
-            self._advance()
-            self._settle()
-
+        queue = self.env._queue
         marker = self.env._pooled_event()
-        marker._value = None
-        marker.callbacks.append(_check)
-        item._marker = marker
-        self.env._queue.push(self.env.now + eta, 1, marker)
+        marker._value = item
+        marker.callbacks.append(self._check)
+        item._check_seq = queue._seq
+        queue.push(self.env.now + eta, 1, marker)
+
+    def _check(self, marker: Event) -> None:
+        """A completion check fired: integrate and settle finished work."""
+        marker._value._check_seq = -1
+        self._advance()
+        self._settle()

@@ -54,7 +54,7 @@ from repro.trace.events import (
     WorkerStateEvent,
 )
 from repro.trace.tracer import NULL_TRACER, Tracer
-from repro.util.rng import SeedLike, make_rng, spawn_rngs
+from repro.util.rng import SeedLike, StreamPool
 
 #: Spin-tick verdict delivered through the worker's barrier event when
 #: the worker should re-run its loop top (own work appeared / shutdown).
@@ -64,6 +64,17 @@ _SPIN_RECHECK = object()
 #: Most kernel cost profiles one profile table holds; a miss that finds
 #: it full empties it first (see ``SimulatedRuntime._profile_for``).
 PROFILE_TABLE_MAX = 4096
+
+
+def _backlog_of(wsqs, aqs, busy) -> Callable[[int], float]:
+    """The load estimate policies use to break ties in global placement
+    searches, read from the runtime's queues (not the runtime itself, so
+    the bound policy holds no reference back to it)."""
+
+    def backlog(core: int) -> float:
+        return len(wsqs[core]) + len(aqs[core]) + (1.0 if busy[core] else 0.0)
+
+    return backlog
 
 
 @dataclass
@@ -81,6 +92,159 @@ class RunResult:
     scheduler_name: str
     machine_name: str
     extra: Dict[str, object] = field(default_factory=dict)
+
+
+class _SpinDriver:
+    """One worker's empty-handed episodes, run as event callbacks.
+
+    In inline-steal configurations the steal-backoff wait is scheduled
+    as a pooled callback event — the "spin tick" — instead of a
+    generator sleep, and an idle worker parks on an event whose callback
+    probes instead of resuming the generator.  The callbacks replay the
+    loop-top decision sequence for an empty-handed worker in the steal
+    state — same draws, same counters, same heap schedule — and resume
+    the worker's generator (through :attr:`barrier`) only when the
+    outcome needs it: a stolen task, own work appeared, or shutdown.
+    Misses stay inside the callback, which costs a fraction of a
+    generator resume, and consecutive provably-missing ticks are
+    fast-forwarded wholesale by :meth:`SimulatedRuntime._spin_collapse`.
+
+    The runtime holds no reference to a driver: the worker's generator
+    and the driver's pending events do (a tick carries its driver as its
+    value), so a finished run leaves no reference cycle through it.
+    """
+
+    __slots__ = (
+        "runtime", "core", "env", "queue", "free", "ticks", "wsqs", "items",
+        "aq", "allow_steal", "record_steal", "record_failed_scan",
+        "worker_state", "idle_events", "n_cores", "backoff", "integers",
+        "sbuf", "barrier", "tick_seq",
+    )
+
+    def __init__(self, runtime: "SimulatedRuntime", core: int, integers) -> None:
+        env = runtime.env
+        self.runtime = runtime
+        self.core = core
+        self.env = env
+        self.queue = env._queue
+        self.free = env._queue._free
+        self.ticks = runtime._spin_ticks
+        self.wsqs = runtime.wsqs
+        self.items = runtime.wsqs[core]._items
+        self.aq = runtime.aqs[core]
+        self.allow_steal = runtime.scheduler.allow_steal
+        self.record_steal = runtime.collector.record_steal
+        self.record_failed_scan = runtime.collector.record_failed_scan
+        self.worker_state = runtime._worker_state
+        self.idle_events = runtime._idle_events
+        self.n_cores = runtime._num_cores
+        self.backoff = runtime.config.steal_backoff
+        self.integers = integers
+        #: Victim-slot buffer shared with the generator's inline probe:
+        #: [pre-drawn slots, next index].
+        self.sbuf = [None, 64]
+        #: Yielded on by the generator while an episode is in flight.  It
+        #: is never scheduled: a callback triggers it directly, so the
+        #: resume runs inside the tick's own heap slot, exactly where the
+        #: original sleep resume ran.
+        self.barrier = Event(env)
+        #: Heap sequence number of this worker's latest spin tick.
+        self.tick_seq = -1
+
+    def wake(self, verdict) -> None:
+        """Resume the generator with ``verdict`` (a task or a recheck)."""
+        barrier = self.barrier
+        callbacks = barrier.callbacks
+        barrier.callbacks = None
+        barrier._value = verdict
+        for callback in callbacks:
+            callback(barrier)
+
+    def push_tick(self, at: float) -> None:
+        free = self.free
+        if free:
+            tick = free.pop()
+        else:
+            tick = Event(self.env)
+            tick._pooled = True
+        tick._value = self
+        tick.callbacks.append(self.spin_tick)
+        queue = self.queue
+        seq = queue._seq
+        self.tick_seq = seq
+        self.ticks[seq] = self.core
+        queue.push(at, NORMAL, tick)
+
+    def register_idle(self) -> None:
+        # Driver-mode _register_idle: the parked event's callback is
+        # idle_tick, so a wake probes (and possibly re-parks) without
+        # resuming the generator.
+        free = self.free
+        if free:
+            parked = free.pop()
+        else:
+            parked = Event(self.env)
+            parked._pooled = True
+        parked.callbacks.append(self.idle_tick)
+        self.idle_events[self.core] = parked
+
+    def probe_and_park(self) -> None:
+        # The shared tail of a wake: one victim probe, then a hit
+        # hand-off, the next backoff tick, or going idle — the exact
+        # loop-top sequence for an empty-handed worker already in the
+        # steal state.
+        sbuf = self.sbuf
+        buf, idx = sbuf
+        if idx >= 64:
+            buf = self.integers(0, self.n_cores - 1, size=64)
+            sbuf[0] = buf
+            idx = 0
+        sbuf[1] = idx + 1
+        slot = buf[idx]
+        core = self.core
+        victim = int(slot) + (1 if slot >= core else 0)
+        runtime = self.runtime
+        wsq = self.wsqs[victim]
+        if wsq._items:
+            stolen = wsq.steal(self.allow_steal)
+            if stolen is not None:
+                runtime._wsq_total -= 1
+                self.record_steal()
+                self.wake(stolen)
+                return
+        self.record_failed_scan()
+        if runtime._wsq_total > 0:
+            if runtime._any_stealable():
+                self.push_tick(self.env._now + self.backoff)
+            else:
+                runtime._spin_collapse(self, self.env._now + self.backoff)
+        else:
+            worker_state = self.worker_state
+            if worker_state[core] != "idle":
+                worker_state[core] = "idle"
+            self.register_idle()
+
+    def spin_tick(self, _tick: Event) -> None:
+        # One steal-backoff wake.  Divert back to the generator the
+        # moment anything else needs doing, otherwise probe.
+        self.ticks.pop(self.tick_seq, None)
+        if self.runtime._shutdown or self.items or self.aq:
+            self.wake(_SPIN_RECHECK)
+            return
+        self.probe_and_park()
+
+    def idle_tick(self, _parked: Event) -> None:
+        # An idle wake (queue push / AQ insert / shutdown).  The loop top
+        # would transition idle -> steal and probe; a miss parks the
+        # worker again with no generator resume — which is what makes
+        # waking every idle worker on a stealable push cheap.
+        if self.runtime._shutdown or self.items or self.aq:
+            self.wake(_SPIN_RECHECK)
+            return
+        worker_state = self.worker_state
+        if worker_state[self.core] != "steal":
+            worker_state[self.core] = "steal"
+        self.probe_and_park()
 
 
 class SimulatedRuntime:
@@ -114,6 +278,10 @@ class SimulatedRuntime:
     profiles:
         A kernel cost-profile table to read and fill, shared by runs on
         the same ``machine`` instance; a private one when omitted.
+    streams:
+        The :class:`~repro.util.rng.StreamPool` the run's generators come
+        from and go back to when :meth:`run` ends; a private one when
+        omitted.  Either way the streams are those of ``seed``.
     """
 
     def __init__(
@@ -128,6 +296,7 @@ class SimulatedRuntime:
         name: str = "runtime",
         tracer: Optional[Tracer] = None,
         profiles: Optional[Dict[tuple, WorkProfile]] = None,
+        streams: Optional[StreamPool] = None,
     ) -> None:
         self.env = env
         self.machine = machine
@@ -149,19 +318,19 @@ class SimulatedRuntime:
             if not self.speed.tracer.enabled:
                 self.speed.tracer = self.tracer
 
-        scheduler.bind(
-            machine,
-            rng=make_rng(seed),
-            clock=lambda: env.now,
-            backlog=self._backlog,
-            tracer=self.tracer,
-        )
-
         n = machine.num_cores
-        worker_rngs = spawn_rngs(make_rng(seed), n + 2)
-        self._steal_rngs = worker_rngs[:n]
-        self._noise_rng = worker_rngs[n]
-        self._wake_rng = worker_rngs[n + 1]
+        #: The run's generator streams: the policy's, one victim stream
+        #: per worker, the noise and the wake-order stream.  They go back
+        #: to ``streams`` (the builder's pool, else a private one) when
+        #: :meth:`run` ends.
+        self._seed = seed
+        self._stream_pool: Optional[StreamPool] = (
+            streams if streams is not None else StreamPool()
+        )
+        self._streams = self._stream_pool.take(seed, n + 2)
+        self._steal_rngs = self._streams[1:n + 1]
+        self._noise_rng = self._streams[n + 1]
+        self._wake_rng = self._streams[n + 2]
         #: Pre-drawn victim slots per thief (single-probe stealing only).
         #: ``Generator.integers(lo, hi, size=k)`` consumes the bit stream
         #: exactly like k scalar draws, so buffering is stream-identical
@@ -175,6 +344,13 @@ class SimulatedRuntime:
         self.wsqs: List[WorkStealingQueue] = [WorkStealingQueue(c) for c in range(n)]
         self.aqs: List[Deque[Assembly]] = [deque() for _ in range(n)]
         self._core_busy_now: List[bool] = [False] * n
+        scheduler.bind(
+            machine,
+            rng=self._streams[0],
+            clock=lambda: env.now,
+            backlog=_backlog_of(self.wsqs, self.aqs, self._core_busy_now),
+            tracer=self.tracer,
+        )
         #: Worker loop states ("exec"/"poll"/"steal"/"idle"); the same
         #: transitions feed :meth:`snapshot` and (when enabled) the tracer,
         #: so live polling and a recorded trace always agree.
@@ -186,20 +362,13 @@ class SimulatedRuntime:
         #: push/pop/steal/reclaim sites so the steal-backoff decision is
         #: O(1) instead of scanning every queue.
         self._wsq_total = 0
-        # Spin-tick driver state (single-probe steal fast path only; see
-        # _worker_loop).  A worker's steal-backoff wake is scheduled as a
-        # plain callback event — the "spin tick" — instead of a generator
-        # resume; these maps let any tick locate every spinner's RNG
-        # buffer and pending tick so provably-missing spins can be
-        # fast-forwarded without touching the event loop (_spin_collapse).
-        self._spin_rng: List[Optional[list]] = [None] * n
-        self._spin_integers: List[Optional[Callable]] = [None] * n
-        self._spin_push: List[Optional[Callable]] = [None] * n
-        #: Heap sequence number of each in-flight spin tick, and the
-        #: reverse map seq -> spinning core used to recognize tick heap
-        #: entries.  Sequence numbers are unique per push, so an entry can
-        #: never alias a recycled event's later schedule.
-        self._spin_tick_seq: List[int] = [-1] * n
+        #: Spin-tick driver state (single-probe steal fast path only; see
+        #: :class:`_SpinDriver`): heap sequence number -> spinning core of
+        #: every in-flight spin tick, used to recognize tick heap entries
+        #: so provably-missing spins can be fast-forwarded
+        #: (:meth:`_spin_collapse`).  Sequence numbers are unique per
+        #: push, so an entry can never alias a recycled event's later
+        #: schedule.
         self._spin_ticks: Dict[int, int] = {}
         #: Memoized kernel cost profiles.  ``KernelModel.profile`` is pure
         #: in (kernel, machine, place) and the machine is fixed for the
@@ -360,6 +529,12 @@ class SimulatedRuntime:
         finally:
             if phases is not None:
                 phases.pop()
+            pool = self._stream_pool
+            if pool is not None:
+                # The run is over (finished or raised): its generators
+                # can serve the pool's next run.
+                self._stream_pool = None
+                pool.give_back(self._seed, self._streams)
         return self.result()
 
     def result(self) -> RunResult:
@@ -478,121 +653,16 @@ class SimulatedRuntime:
         allow_steal = scheduler.allow_steal
         record_steal = self.collector.record_steal
         record_failed_scan = self.collector.record_failed_scan
-        # Spin-tick driver (inline-steal configurations only): the
-        # steal-backoff wait is scheduled as a pooled callback event
-        # instead of a generator sleep.  The tick callback replays the
-        # loop-top decision sequence for an empty-handed worker in the
-        # steal state — same draws, same counters, same heap schedule —
-        # and only resumes this generator when the outcome needs it
-        # (stolen task, own work appeared, or queues drained to idle).
-        # Misses stay inside the callback, which costs a fraction of a
-        # generator resume, and consecutive provably-missing ticks are
-        # fast-forwarded wholesale by _spin_collapse.
-        sbuf = [None, 64]  # shared RNG buffer: [victim slots, next index]
-        spin_tick = None
-        barrier = None
+        # Spin-tick driver (inline-steal configurations only; see
+        # _SpinDriver): the steal-backoff wait and idle parks are event
+        # callbacks, and this generator only resumes when an episode
+        # ends with a stolen task or something to re-check.
+        driver = None
+        sbuf = [None, 64]  # RNG buffer: [victim slots, next index]
         if inline_steal:
-            queue = env._queue
-            qfree = queue._free
-            spin_ticks = self._spin_ticks
-            spin_tick_seq = self._spin_tick_seq
-            self._spin_rng[core] = sbuf
-            self._spin_integers[core] = steal_integers
-            # The barrier is yielded on while a tick is in flight.  It is
-            # never scheduled: the tick callback triggers it directly, so
-            # the resume runs inside the tick's own heap slot, exactly
-            # where the original sleep resume ran.
-            barrier = Event(env)
-
-            def wake(verdict):
-                callbacks = barrier.callbacks
-                barrier.callbacks = None
-                barrier._value = verdict
-                for callback in callbacks:
-                    callback(barrier)
-
-            def push_tick(at):
-                free = qfree
-                if free:
-                    tick = free.pop()
-                else:
-                    tick = Event(env)
-                    tick._pooled = True
-                tick.callbacks.append(spin_tick)
-                seq = queue._seq
-                spin_tick_seq[core] = seq
-                spin_ticks[seq] = core
-                queue.push(at, NORMAL, tick)
-
-            idle_events = self._idle_events
-
-            def register_idle():
-                # Driver-mode _register_idle: the parked event's callback
-                # is idle_tick, so a wake probes (and possibly re-parks)
-                # without resuming the generator.
-                free = qfree
-                if free:
-                    parked = free.pop()
-                else:
-                    parked = Event(env)
-                    parked._pooled = True
-                parked.callbacks.append(idle_tick)
-                idle_events[core] = parked
-
-            def probe_and_park():
-                # The shared tail of a wake: one victim probe, then a hit
-                # hand-off, the next backoff tick, or going idle — the
-                # exact loop-top sequence for an empty-handed worker
-                # already in the steal state.
-                buf, idx = sbuf
-                if idx >= 64:
-                    buf = steal_integers(0, n_cores - 1, size=64)
-                    sbuf[0] = buf
-                    idx = 0
-                sbuf[1] = idx + 1
-                slot = buf[idx]
-                victim = int(slot) + (1 if slot >= core else 0)
-                if wsqs[victim]._items:
-                    stolen = wsqs[victim].steal(allow_steal)
-                    if stolen is not None:
-                        self._wsq_total -= 1
-                        record_steal()
-                        wake(stolen)
-                        return
-                record_failed_scan()
-                if self._wsq_total > 0:
-                    if self._any_stealable():
-                        push_tick(env._now + steal_backoff)
-                    else:
-                        self._spin_collapse(core, env._now + steal_backoff)
-                else:
-                    if worker_state[core] != "idle":
-                        worker_state[core] = "idle"
-                    register_idle()
-
-            def spin_tick(_tick):
-                # One steal-backoff wake.  Divert back to the generator
-                # the moment anything else needs doing, otherwise probe.
-                spin_ticks.pop(spin_tick_seq[core], None)
-                if self._shutdown or items or aq:
-                    wake(_SPIN_RECHECK)
-                    return
-                probe_and_park()
-
-            def idle_tick(_parked):
-                # An idle wake (queue push / AQ insert / shutdown).  The
-                # loop top would transition idle -> steal and probe; a
-                # miss parks the worker again with no generator resume —
-                # which is what makes waking every idle worker on a
-                # stealable push cheap.
-                if self._shutdown or items or aq:
-                    wake(_SPIN_RECHECK)
-                    return
-                if worker_state[core] != "steal":
-                    worker_state[core] = "steal"
-                probe_and_park()
-
-            self._spin_push[core] = push_tick
+            driver = _SpinDriver(self, core, steal_integers)
+            sbuf = driver.sbuf
+            barrier = driver.barrier
         while not self._shutdown:
             # A pending high-priority task in the local WSQ is dispatched
             # before joining further assemblies: its placement decision
@@ -686,17 +756,17 @@ class SimulatedRuntime:
                 self._dispatch(stolen, place, core, stolen=True)
                 continue
 
-            if spin_tick is not None:
+            if driver is not None:
                 # Tick-driver mode: hand the whole empty-handed episode
                 # (backoff spins and idle parks alike) to the callbacks;
                 # the generator only resumes when the episode ends with a
                 # stolen task or with something to re-check.
                 if self._wsq_total > 0:
-                    push_tick(env._now + steal_backoff)
+                    driver.push_tick(env._now + steal_backoff)
                 else:
                     if worker_state[core] != "idle":
                         worker_state[core] = "idle"
-                    register_idle()
+                    driver.register_idle()
                 verdict = yield barrier
                 barrier.callbacks = []
                 barrier._value = PENDING
@@ -796,17 +866,17 @@ class SimulatedRuntime:
                         return True
         return False
 
-    def _spin_collapse(self, core: int, phase: float) -> None:
+    def _spin_collapse(self, driver: "_SpinDriver", phase: float) -> None:
         """Fast-forward steal-backoff spins that are provable misses.
 
-        Called from ``core``'s spin tick after a failed probe when no
-        queued task anywhere is stealable.  Until another event mutates
-        queue state, every backoff wake — this worker's and any other
-        spinner's — repeats the same guaranteed miss, whose only effects
-        are one victim draw from the spinner's own RNG stream and one
-        failed-scan count.  Those wakes are simulated here in a tight
-        loop and each affected spinner gets a single tick re-scheduled
-        at its first wake at or after the next real event:
+        Called from a worker's spin tick (its ``driver``) after a failed
+        probe when no queued task anywhere is stealable.  Until another
+        event mutates queue state, every backoff wake — this worker's and
+        any other spinner's — repeats the same guaranteed miss, whose
+        only effects are one victim draw from the spinner's own RNG
+        stream and one failed-scan count.  Those wakes are simulated here
+        in a tight loop and each affected spinner gets a single tick
+        re-scheduled at its first wake at or after the next real event:
 
         * draws advance each spinner's private buffered stream exactly
           as its ticks would (streams are independent, so interleaving
@@ -827,12 +897,10 @@ class SimulatedRuntime:
         heappop = heapq.heappop
         backoff = self.config.steal_backoff
         ticks = self._spin_ticks
-        rng = self._spin_rng
-        integers = self._spin_integers
         wsqs = self.wsqs
         aqs = self.aqs
         n1 = self._num_cores - 1
-        virtual = {core: (phase, self._spin_tick_seq[core])}
+        virtual = {driver.core: (phase, driver.tick_seq, driver)}
         scans = 0
         while heap:
             head = heap[0]
@@ -850,21 +918,23 @@ class SimulatedRuntime:
                 break
             heappop(heap)
             del ticks[seq]
-            queue._recycle(head[3])
-            cell = rng[owner]
+            tick = head[3]
+            spinner = tick._value  # the owner's driver (see push_tick)
+            queue._recycle(tick)
+            cell = spinner.sbuf
             idx = cell[1]
             if idx >= 64:
-                cell[0] = integers[owner](0, n1, size=64)
+                cell[0] = spinner.integers(0, n1, size=64)
                 idx = 0
             cell[1] = idx + 1
             scans += 1
-            virtual[owner] = (head[0] + backoff, seq)
+            virtual[owner] = (head[0] + backoff, seq, spinner)
         if heap:
             head_time = heap[0][0]
-            for owner, (t, order) in list(virtual.items()):
+            for owner, (t, order, spinner) in list(virtual.items()):
                 if t < head_time:
-                    cell = rng[owner]
-                    draw = integers[owner]
+                    cell = spinner.sbuf
+                    draw = spinner.integers
                     idx = cell[1]
                     while t < head_time:
                         if idx >= 64:
@@ -874,12 +944,11 @@ class SimulatedRuntime:
                         scans += 1
                         t += backoff
                     cell[1] = idx
-                    virtual[owner] = (t, order)
-        push = self._spin_push
-        for owner, (t, _order) in sorted(
+                    virtual[owner] = (t, order, spinner)
+        for _owner, (t, _order, spinner) in sorted(
             virtual.items(), key=lambda kv: (kv[1][0], kv[1][1])
         ):
-            push[owner](t)
+            spinner.push_tick(t)
         if scans:
             self.collector.record_failed_scans(scans)
 
@@ -1103,6 +1172,7 @@ class SimulatedRuntime:
                     )
                 )
             self._wake_all_idle()
+            self._stop_workers()
 
     def _enqueue_ready(self, task: Task, waker_core: int) -> None:
         """Route a released task to a WSQ per the policy's wake-up rule."""
@@ -1133,14 +1203,6 @@ class SimulatedRuntime:
             self._wake_all_idle()
         else:
             self._wake((target,))
-
-    def _backlog(self, core: int) -> float:
-        """Load estimate used to break ties in global placement searches."""
-        return (
-            len(self.wsqs[core])
-            + len(self.aqs[core])
-            + (1.0 if self._core_busy_now[core] else 0.0)
-        )
 
     def _next_root_core(self) -> int:
         core = self._root_rr % self.machine.num_cores
@@ -1375,6 +1437,22 @@ class SimulatedRuntime:
         if not any(self._dead[c] for c in cores):
             return place
         return ExecutionPlace(self._live_fallback(deciding_core), 1)
+
+    def _stop_workers(self) -> None:
+        """End every worker's loop at shutdown.
+
+        A worker would only resume to see the shutdown flag and return;
+        closing its generator now ends it the same way without the
+        resume.  A suspended worker frame holds the runtime, and the
+        event it waits on holds the worker, so this is also what lets
+        reference counting free a finished run.  A worker whose wait
+        event still fires later (another runtime driving a shared
+        environment) finds its generator done and terminates.
+        """
+        active = self.env._active_process
+        for process in self._workers:
+            if process is not None and process is not active:
+                process.generator.close()
 
     # ------------------------------------------------------------------
     # idle management

@@ -41,7 +41,7 @@ class Process(Event):
     processes can wait on each other.
     """
 
-    __slots__ = ("generator", "_target", "name", "_send", "_throw")
+    __slots__ = ("generator", "_target_id", "name", "_send", "_throw")
 
     def __init__(
         self,
@@ -58,14 +58,17 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when running
-        #: its initialization or after termination).
-        self._target: Optional[Event] = None
         # Kick off the process via an urgent initialization event.
         init = env._pooled_event()
         init._value = None
         init.callbacks.append(self._resume)
         env._queue.push(env.now, URGENT, init)
+        #: ``id()`` of the event this process waits on (None once it has
+        #: terminated).  Only the id is kept: the event holds the process
+        #: through its callback, and a reference back would make every
+        #: waiting process a reference cycle.  Both are alive while the
+        #: event can fire, so the id cannot be reused meanwhile.
+        self._target_id: Optional[int] = id(init)
 
     @property
     def is_alive(self) -> bool:
@@ -82,12 +85,6 @@ class Process(Event):
         """
         if self.triggered:
             raise RuntimeError(f"{self.name} has terminated; cannot interrupt")
-        target = self._target
-        if target is not None and not target.processed:
-            # Detach from whatever we were waiting for.
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-        self._target = None
         interrupt_event = Event(self.env)
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
@@ -98,6 +95,11 @@ class Process(Event):
     # -- engine plumbing --------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
+        if id(event) != self._target_id and not isinstance(
+            event._value, Interrupt
+        ):
+            # An event this process was interrupted out of waiting for.
+            return
         env = self.env
         env._active_process = self
         try:
@@ -106,11 +108,11 @@ class Process(Event):
             else:
                 next_event = self._throw(event._value)
         except StopIteration as stop:
-            self._target = None
+            self._target_id = None
             self.succeed(stop.value)
             return
         except BaseException:
-            self._target = None
+            self._target_id = None
             # Propagate crashes out of the simulation: a process that dies
             # with an unexpected exception is a bug in the model, not a
             # simulated outcome.
@@ -129,10 +131,10 @@ class Process(Event):
             bridge._value = next_event._value
             bridge.callbacks.append(self._resume)
             env._queue.push(env._now, URGENT, bridge)
-            self._target = bridge
+            self._target_id = id(bridge)
         else:
             next_event.callbacks.append(self._resume)
-            self._target = next_event
+            self._target_id = id(next_event)
 
 
 class Environment:
@@ -252,6 +254,20 @@ class Environment:
         if event._pooled:
             self._queue._recycle(event)
         return self._now
+
+    def close(self) -> None:
+        """End the simulation: drop every pending event and the event pool.
+
+        A pending event holds its callbacks' owners (runtimes, speed
+        models, processes), and they hold this environment, so a stopped
+        simulation is one reference cycle until its events go.  Call
+        this when nothing will process them any more; reference counting
+        then frees the simulation.  The clock keeps its time.
+        """
+        queue = self._queue
+        queue._heap.clear()
+        queue._defunct.clear()
+        queue._free.clear()
 
     def _push(self, event: Event, priority: int) -> None:
         """Queue a just-triggered event for processing at the current time."""

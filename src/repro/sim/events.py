@@ -179,6 +179,11 @@ class EventQueue:
             self._defunct.add(seq)
             event._seq = -1
 
+    def cancel_seq(self, seq: int) -> None:
+        """:meth:`cancel` by the heap sequence number ``push`` assigned;
+        for holders that keep the number, not the event."""
+        self._defunct.add(seq)
+
     def _recycle(self, event: Event) -> None:
         """Reset a processed pooled event and park it on the free-list."""
         event.callbacks = []

@@ -279,13 +279,18 @@ class RunBuilder:
     use; nothing writes to a machine, and its arrays are read-only) and
     that machine's kernel cost-profile table (``KernelModel.profile`` is
     pure in kernel, machine and place; the table holds its kernels, and
-    :data:`repro.runtime.executor.PROFILE_TABLE_MAX` bounds it).  The
-    workload, scheduler, scenario, environment, speed model and RNG
-    streams are built fresh for every run.
+    :data:`repro.runtime.executor.PROFILE_TABLE_MAX` bounds it).  It also
+    keeps a :class:`~repro.util.rng.StreamPool`: a run's RNG streams are
+    its seed's, reset on generator objects that earlier runs have given
+    back.  The workload, scheduler, scenario, environment and speed
+    model are built fresh for every run.
     """
 
     def __init__(self) -> None:
+        from repro.util.rng import StreamPool
+
         self._machines: Dict[str, Tuple[Any, Dict[tuple, Any]]] = {}
+        self._streams = StreamPool()
 
     def machine(self, name: str) -> Tuple[Any, Dict[tuple, Any]]:
         """The shared instance of preset ``name`` and its profile table."""
@@ -323,10 +328,24 @@ class RunBuilder:
         runtime = SimulatedRuntime(
             env, machine, graph, policy, config=config, speed=speed,
             seed=spec.seed, tracer=tracer, profiles=profiles,
+            streams=self._streams,
         )
         if RECORD_FREE_METRICS.issuperset(spec.metrics):
             runtime.arm_lean_records()
         return runtime
+
+    def run(self, spec: RunSpec, tracer=None):
+        """Build and run a ``single`` spec; returns its ``RunResult``.
+
+        The run's environment is closed once it has ended (finished or
+        raised), so nothing of the run outlives its result in a
+        reference cycle.
+        """
+        runtime = self.runtime(spec, tracer)
+        try:
+            return runtime.run()
+        finally:
+            runtime.env.close()
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +372,7 @@ def executor(name: str):
 def _execute_single(spec: RunSpec, builder: RunBuilder) -> Dict[str, Any]:
     """The generic run: graph x machine x scheduler x scenario x config."""
     tracer = build_tracer(spec.params)
-    result = builder.runtime(spec, tracer).run()
+    result = builder.run(spec, tracer)
     metrics = extract_metrics(result, spec.metrics)
     metrics.update(export_trace(tracer, spec.params))
     return metrics
