@@ -36,6 +36,12 @@ STRAGGLER_FACTOR = 3.0
 #: yardstick, and nothing is flagged.
 STRAGGLER_TIMEOUT_FRACTION = 0.5
 
+#: ...but never before this many seconds.  A run's progress is seen at
+#: heartbeat granularity, so a run that has not outlasted two heartbeat
+#: intervals cannot be told from one delayed by scheduling noise; a few
+#: millisecond prediction times three is well inside that noise.
+STRAGGLER_FLOOR = 2 * DEFAULT_INTERVAL
+
 #: A worker whose last heartbeat is older than this many intervals is
 #: shown as ``stalled`` (still alive as far as the OS knows — possibly
 #: GIL-bound — and still subject only to the run timeout).
@@ -51,7 +57,7 @@ def straggler_after(
         bounds.append(STRAGGLER_FACTOR * expected)
     if timeout is not None and timeout > 0:
         bounds.append(STRAGGLER_TIMEOUT_FRACTION * timeout)
-    return min(bounds) if bounds else None
+    return max(min(bounds), STRAGGLER_FLOOR) if bounds else None
 
 
 @dataclass
@@ -211,6 +217,7 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "STALL_INTERVALS",
     "STRAGGLER_FACTOR",
+    "STRAGGLER_FLOOR",
     "STRAGGLER_TIMEOUT_FRACTION",
     "WorkerTable",
     "WorkerView",

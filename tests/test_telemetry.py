@@ -45,7 +45,9 @@ from repro.telemetry import (
 )
 from repro.telemetry.dashboard import Dashboard
 from repro.telemetry.heartbeat import (
+    DEFAULT_INTERVAL,
     STRAGGLER_FACTOR,
+    STRAGGLER_FLOOR,
     STRAGGLER_TIMEOUT_FRACTION,
 )
 from repro.telemetry.prom import (
@@ -364,6 +366,29 @@ class TestWorkerTable:
         assert straggler_after(None, 10.0) == STRAGGLER_TIMEOUT_FRACTION * 10.0
         # Both yardsticks known: the tighter one wins.
         assert straggler_after(1.0, 4.0) == min(3.0, 2.0)
+
+    def test_straggler_limit_never_falls_below_the_floor(self):
+        # A run predicted at a few milliseconds is not a straggler at 3x
+        # that: the limit is held at the heartbeat-granularity floor.
+        assert STRAGGLER_FLOOR >= DEFAULT_INTERVAL
+        assert straggler_after(0.002, None) == STRAGGLER_FLOOR
+        assert straggler_after(0.002, 600.0) == STRAGGLER_FLOOR
+        assert straggler_after(None, 0.1) == STRAGGLER_FLOOR
+        # Above the floor the yardsticks apply unchanged.
+        assert straggler_after(1.0, None) == STRAGGLER_FACTOR * 1.0
+
+    def test_millisecond_runs_are_not_flagged_within_the_floor(self):
+        table = WorkerTable()
+        ident = table.spawn(pid=1)
+        table.assign(ident, "k", "fig4", attempt=1, width=1, now=0.0,
+                     expected=0.004)
+        # 3x the prediction has long passed, the floor has not.
+        assert table.check_stragglers(now=0.05, timeout=600.0) == []
+        assert table.check_stragglers(now=STRAGGLER_FLOOR * 0.99) == []
+        assert table.stragglers_flagged == 0
+        # A run that really does hang past the floor is still flagged.
+        assert len(table.check_stragglers(now=STRAGGLER_FLOOR * 1.01)) == 1
+        assert table.stragglers_flagged == 1
 
     def test_lifecycle_and_straggler_detection(self):
         table = WorkerTable()
