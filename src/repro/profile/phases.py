@@ -6,7 +6,9 @@ for placements, re-timing in-flight work, extracting metrics.  A
 :class:`PhaseTimer` attributes *exclusive* wall-clock time to a stack of
 named phases: entering a nested phase pauses the enclosing one, so the
 buckets always sum to the instrumented span (plus ``other`` for anything
-outside every phase).
+outside every phase).  The cyclic garbage collector's pauses get a
+bucket of their own, ``gc``, taken from :data:`gc.callbacks` while a
+timer is installed and charged to no other phase.
 
 Instrumented code reads the module-level active timer exactly once at
 construction time (``self._phases = active_phases()``) and guards each
@@ -18,6 +20,7 @@ engine's zero-overhead-when-off contract (the same pattern as
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, List, Optional
@@ -30,6 +33,7 @@ PHASES = (
     "speed-retime",
     "metrics",
     "dispatch",
+    "gc",
 )
 
 
@@ -41,16 +45,18 @@ class PhaseTimer:
     active, so profiling overhead never leaks into unprofiled runs.
     """
 
-    __slots__ = ("totals", "counts", "notes", "_stack", "_last")
+    __slots__ = ("totals", "counts", "notes", "_stack", "_last", "_gc_start")
 
     def __init__(self) -> None:
-        self.totals: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
+        #: Seconds per phase; ``gc`` is always present.
+        self.totals: Dict[str, float] = {"gc": 0.0}
+        self.counts: Dict[str, int] = {"gc": 0}
         #: Free-form annotations attached by instrumented subsystems
         #: (e.g. DAG-template cache hit counts).
         self.notes: Dict[str, object] = {}
         self._stack: List[str] = []
         self._last = 0.0
+        self._gc_start = 0.0
 
     def push(self, name: str) -> None:
         """Enter ``name``, pausing the enclosing phase (if any)."""
@@ -71,6 +77,21 @@ class PhaseTimer:
         current = self._stack.pop()
         self.totals[current] = self.totals.get(current, 0.0) + now - self._last
         self._last = now
+
+    def on_gc(self, phase: str, _info: dict) -> None:
+        """A :data:`gc.callbacks` hook: time each collection as ``gc``.
+
+        The pause is moved out of whatever phase was open, so the
+        buckets still sum to the instrumented span.
+        """
+        now = perf_counter()
+        if phase == "start":
+            self._gc_start = now
+            return
+        spent = now - self._gc_start
+        self.totals["gc"] += spent
+        self.counts["gc"] += 1
+        self._last += spent
 
     @contextmanager
     def phase(self, name: str):
@@ -128,16 +149,20 @@ def phase_accounting(timer: Optional[PhaseTimer] = None):
     """Install ``timer`` (or a fresh one) for the duration of the block.
 
     Objects constructed inside the block (runtimes, speed models) bind to
-    it; yields the timer.  Not reentrant by design — a profiled run owns
-    the process.
+    it, and the collector's pauses are timed into its ``gc`` bucket;
+    yields the timer.  Not reentrant by design — a profiled run owns the
+    process.
     """
     global _ACTIVE
     previous = _ACTIVE
     timer = timer if timer is not None else PhaseTimer()
+    on_gc = timer.on_gc
     _ACTIVE = timer
+    gc.callbacks.append(on_gc)
     try:
         yield timer
     finally:
+        gc.callbacks.remove(on_gc)
         _ACTIVE = previous
 
 

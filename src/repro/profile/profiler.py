@@ -5,7 +5,8 @@
 * a :class:`~repro.profile.phases.PhaseTimer` (installed process-wide,
   so every runtime / speed model / workload builder constructed inside
   the call attributes its wall time to the dag-build / sim-loop /
-  policy-search / speed-retime / metrics buckets), and
+  policy-search / speed-retime / metrics buckets, and the cyclic garbage
+  collector's pauses to ``gc``), and
 * optionally ``cProfile`` (deterministic tracing), from which per-
   function hotspots and a collapsed-stack flamegraph are derived.
 

@@ -1,5 +1,6 @@
 """The profiling subsystem: phase accounting, reports, CLI smoke."""
 
+import gc
 import json
 
 from repro.profile import Profiler
@@ -31,6 +32,35 @@ class TestPhaseTimer:
         assert phases["sim-loop"]["enters"] == 1
         # Inner time is attributed to the inner phase, not double-counted.
         assert phases["sim-loop"]["seconds"] >= 0.0
+
+    def test_gc_bucket_is_always_listed(self):
+        timer = PhaseTimer()
+        with phase_accounting(timer):
+            with phase_scope("sim-loop"):
+                pass
+        phases = timer.breakdown(wall=1.0)["phases"]
+        assert "gc" in phases
+        assert phases["gc"]["seconds"] >= 0.0
+
+    def test_collections_are_timed_as_gc_not_as_the_open_phase(self):
+        timer = PhaseTimer()
+        callbacks_before = list(gc.callbacks)
+        with phase_accounting(timer):
+            with phase_scope("sim-loop"):
+                for _ in range(3):
+                    cycle = []
+                    cycle.append(cycle)
+                    del cycle
+                    gc.collect()
+        assert gc.callbacks == callbacks_before
+        phases = timer.breakdown(wall=10.0)["phases"]
+        assert phases["gc"]["enters"] >= 3
+        assert phases["gc"]["seconds"] > 0.0
+        # Exclusive accounting: the buckets still sum to no more than the
+        # instrumented span.
+        total = sum(row["seconds"] for name, row in phases.items()
+                    if name != "other")
+        assert total <= 10.0
 
     def test_ad_hoc_phase_gets_own_bucket_after_canonical(self):
         timer = PhaseTimer()
