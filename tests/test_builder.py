@@ -11,14 +11,22 @@ Contracts under test:
   brings new kernel objects (kernels that bypass the DAG template
   cache).
 * The machine a builder shares between runs cannot be written to.
+* A builder reuses generator objects across runs, and each run still
+  draws its own seed's streams: interleaved seeds, and the run after one
+  that raised, equal fresh builds; two builders, or two runtimes of one
+  builder in flight at once, share no generator.
+* A finished untraced run leaves no cyclic garbage: reference counting
+  frees all of it.
 """
 
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RuntimeStateError
 from repro.sweep import RunSpec
 from repro.sweep.registry import RECORD_FREE_METRICS, RunBuilder, execute_spec
 
@@ -41,19 +49,17 @@ METRIC_SETS = (
 
 def _spec(machine="jetson_tx2", kernel="matmul", scheduler="dam-c",
           scenario=None, metrics=("throughput",), parallelism=2, total=24,
-          seed=0):
-    return RunSpec(
-        kind="single",
-        params={
-            "workload": {"name": "layered", "kernel": kernel,
-                         "parallelism": parallelism, "total": total},
-            "machine": machine,
-            "scheduler": scheduler,
-            "scenario": scenario,
-        },
-        seed=seed,
-        metrics=metrics,
-    )
+          seed=0, config=None):
+    params = {
+        "workload": {"name": "layered", "kernel": kernel,
+                     "parallelism": parallelism, "total": total},
+        "machine": machine,
+        "scheduler": scheduler,
+        "scenario": scenario,
+    }
+    if config is not None:
+        params["config"] = config
+    return RunSpec(kind="single", params=params, seed=seed, metrics=metrics)
 
 
 specs = st.builds(
@@ -144,3 +150,63 @@ class TestRunBuilder:
         assert second.machine("jetson_tx2")[0] is not machine
         assert second.machine("jetson_tx2")[1] is not table
         assert first.machine("haswell16")[1] is not table
+
+
+class TestStreamReuse:
+    def test_interleaved_seeds_match_fresh_builds(self):
+        builder = RunBuilder()
+        seeds = (0, 1, 0, 2, 1, 1, 0, 3, 2)
+        for i, seed in enumerate(seeds):
+            spec = _spec(
+                machine=("jetson_tx2", "haswell16")[i % 2],
+                scheduler=("rws", "dam-c")[i % 2],
+                scenario=SCENARIOS[i % 3],
+                metrics=METRIC_SETS[i % 4],
+                seed=seed,
+            )
+            assert execute_spec(spec, builder) == execute_spec(spec)
+
+    def test_run_after_one_that_raised_matches_fresh_build(self):
+        builder = RunBuilder()
+        # Stopped by max_time part-way, after it has drawn from its
+        # streams; its generators go back to the pool all the same.
+        broken = _spec(seed=5, total=40, config={"max_time": 0.004})
+        with pytest.raises(RuntimeStateError, match="max_time"):
+            execute_spec(broken, builder)
+        for seed in (5, 6, 5):
+            spec = _spec(seed=seed, total=40, metrics=METRIC_SETS[2])
+            assert execute_spec(spec, builder) == execute_spec(spec)
+
+    def test_builders_share_no_generator(self):
+        spec = _spec()
+        first, second = RunBuilder(), RunBuilder()
+        for builder in (first, second):  # fill both pools
+            execute_spec(spec, builder)
+        a, b = first.runtime(spec), second.runtime(spec)
+        assert not {id(g) for g in a._streams} & {id(g) for g in b._streams}
+
+    def test_runtimes_in_flight_at_once_share_no_generator(self):
+        builder = RunBuilder()
+        spec = _spec(scenario=SCENARIOS[1], total=40)
+        execute_spec(spec, builder)  # the pool now holds idle generators
+        a, b = builder.runtime(spec), builder.runtime(spec)
+        streams = [id(g) for g in a._streams + b._streams]
+        assert len(set(streams)) == len(streams)
+        assert a.run().throughput == b.run().throughput
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("scenario", SCENARIOS[:3], ids=["none", "tx2", "dvfs"])
+    @pytest.mark.parametrize("metrics", [METRIC_SETS[0], METRIC_SETS[3]],
+                             ids=["lean", "records"])
+    def test_finished_run_leaves_no_cyclic_garbage(self, scenario, metrics):
+        builder = RunBuilder()
+        spec = _spec(scenario=scenario, metrics=metrics, total=40)
+        execute_spec(spec, builder)  # warm the builder and the DAG cache
+        gc.collect()
+        gc.disable()
+        try:
+            execute_spec(dataclasses.replace(spec, seed=1), builder)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
