@@ -5,7 +5,7 @@ one parameter point — across derived seeds until its confidence interval
 converges.  :func:`execute_batch` runs such replicates one after another
 in a single job, which buys two things:
 
-* one dispatch (one pipe message or lease, one result) for N replicates;
+* one dispatch (one lease, one result) for N replicates;
 * per-replicate error isolation: a replicate that raises resolves to its
   own error payload and never aborts its batchmates.
 

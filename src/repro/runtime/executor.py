@@ -657,10 +657,8 @@ class SimulatedRuntime:
         # _SpinDriver): the steal-backoff wait and idle parks are event
         # callbacks, and this generator only resumes when an episode
         # ends with a stolen task or something to re-check.
-        driver = None
-        sbuf = [None, 64]  # RNG buffer: [victim slots, next index]
-        if inline_steal:
-            driver = _SpinDriver(self, core, steal_integers)
+        driver = _SpinDriver(self, core, steal_integers) if inline_steal else None
+        if driver is not None:
             sbuf = driver.sbuf
             barrier = driver.barrier
         while not self._shutdown:
