@@ -78,7 +78,9 @@ class DvfsGovernor:
         self.wave = wave
         self.until = until
         self.toggles = 0
-        self._process = env.process(self._run(), name="dvfs-governor")
+        # Not kept: the process's frame holds this governor, so a
+        # reference back would make the pair a reference cycle.
+        env.process(self._run(), name="dvfs-governor")
 
     def _run(self):
         wave = self.wave

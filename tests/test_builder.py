@@ -27,6 +27,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RuntimeStateError
+from repro.machine.speed import SpeedModel
+from repro.runtime.executor import SimulatedRuntime
+from repro.sim.environment import Environment
+from repro.sim.events import Event
 from repro.sweep import RunSpec
 from repro.sweep.registry import RECORD_FREE_METRICS, RunBuilder, execute_spec
 
@@ -195,6 +199,12 @@ class TestStreamReuse:
         assert a.run().throughput == b.run().throughput
 
 
+def _simulation_objects():
+    """Ids of the live objects a run is made of."""
+    kinds = (SimulatedRuntime, SpeedModel, Environment, Event)
+    return {id(o) for o in gc.get_objects() if isinstance(o, kinds)}
+
+
 class TestNoCyclicGarbage:
     @pytest.mark.parametrize("scenario", SCENARIOS[:3], ids=["none", "tx2", "dvfs"])
     @pytest.mark.parametrize("metrics", [METRIC_SETS[0], METRIC_SETS[3]],
@@ -206,7 +216,13 @@ class TestNoCyclicGarbage:
         gc.collect()
         gc.disable()
         try:
+            before = _simulation_objects()
             execute_spec(dataclasses.replace(spec, seed=1), builder)
+            # Nothing of the run is still alive, not even a cycle whose
+            # generator finalizer would let the collector free it
+            # without counting it...
+            assert _simulation_objects() <= before
+            # ...and the collector finds nothing unreachable.
             assert gc.collect() == 0
         finally:
             gc.enable()
