@@ -39,7 +39,7 @@ class StreamPool:
 
     :meth:`take` returns ``[make_rng(seed), *spawn_rngs(seed, n)]``
     exactly: a stream is a function of the seed only, not of the object
-    that carries it.  Building a generator from a seed costs ~15 µs (its
+    that carries it.  Building a generator from a seed costs 10-20 µs (its
     ``SeedSequence`` hashes the entropy), while setting the state of an
     existing one costs ~1.5 µs; so the pool remembers each int seed's
     initial states and, on a repeat, resets idle generators to them.
@@ -65,18 +65,18 @@ class StreamPool:
 
     def take(self, seed: SeedLike, n: int) -> List[np.random.Generator]:
         """The root stream of ``seed`` followed by its ``n`` children."""
-        if type(seed) is not int:
-            # Entropy seeds and pass-through generators are not repeatable.
-            root = make_rng(seed)
-            return [root, *spawn_rngs(root, n)]
-        key = (seed, n)
-        states = self._states.get(key)
+        # Entropy seeds and pass-through generators are not repeatable.
+        repeatable = type(seed) is int
+        states = self._states.get((seed, n)) if repeatable else None
         if states is None:
             root = make_rng(seed)
             streams = [root, *spawn_rngs(root, n)]
-            if len(self._states) >= self.STATES_MAX:
-                self._states.clear()
-            self._states[key] = tuple(g.bit_generator.state for g in streams)
+            if repeatable:
+                if len(self._states) >= self.STATES_MAX:
+                    self._states.clear()
+                self._states[(seed, n)] = tuple(
+                    g.bit_generator.state for g in streams
+                )
             return streams
         idle = self._idle
         streams = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.util.rng import RngFactory, make_rng, spawn_rngs
+from repro.util.rng import RngFactory, StreamPool, make_rng, spawn_rngs
 from repro.util.stats import (
     geometric_mean,
     summarize,
@@ -35,6 +35,29 @@ class TestRng:
     def test_spawn_rngs_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
+
+    def test_stream_pool_hands_out_the_seeds_streams_on_reused_objects(self):
+        def draws(streams):
+            return [g.integers(0, 1 << 30, size=4).tolist() for g in streams]
+
+        pool = StreamPool()
+        first = pool.take(7, 3)
+        assert draws(first) == draws([make_rng(7), *spawn_rngs(7, 3)])
+        pool.give_back(7, first)
+        second = pool.take(7, 3)  # reset, not rebuilt
+        assert {id(g) for g in second} == {id(g) for g in first}
+        assert draws(second) == draws([make_rng(7), *spawn_rngs(7, 3)])
+        assert {id(g) for g in pool.take(7, 3)}.isdisjoint(
+            id(g) for g in second
+        )
+
+    def test_stream_pool_never_adopts_a_callers_generator(self):
+        pool = StreamPool()
+        gen = np.random.default_rng(1)
+        streams = pool.take(gen, 2)
+        assert streams[0] is gen
+        pool.give_back(gen, streams)
+        assert all(g is not gen for g in pool.take(1, 2))
 
     def test_factory_same_name_same_stream(self):
         factory = RngFactory(42)
