@@ -409,7 +409,10 @@ def _execute_kmeans_window(spec: RunSpec, builder) -> Dict[str, Any]:
         env, machine, graph, make_scheduler(p["scheduler"]),
         speed=speed, seed=spec.seed, tracer=tracer,
     )
-    result = runtime.run()
+    try:
+        result = runtime.run()
+    finally:
+        env.close()
     records = result.collector.records
     in_window = [
         r for r in records if lo <= r.metadata.get("iteration", -1) < hi
@@ -459,7 +462,10 @@ def _execute_heat_cluster(spec: RunSpec, _builder) -> Dict[str, Any]:
         scenarios=scenarios,
         seed=spec.seed,
     )
-    result = runtime.run()
+    try:
+        result = runtime.run()
+    finally:
+        runtime.env.close()
     return {
         "throughput": result.throughput,
         "makespan": result.makespan,
