@@ -38,7 +38,6 @@ def time_interference_run(repeats: int = 3) -> dict:
     DVFS square wave toggles the Denver cluster — every re-timing path
     of the speed model is exercised at once.
     """
-    from repro.experiments.common import run_one
     from repro.graph.generators import layered_synthetic_dag
     from repro.interference.composite import CompositeScenario
     from repro.interference.corunner import CorunnerInterference
@@ -47,6 +46,7 @@ def time_interference_run(repeats: int = 3) -> dict:
     from repro.machine.dvfs import PeriodicSquareWave
     from repro.machine.presets import jetson_tx2
     from repro.interference.live import LiveCorunner
+    from repro.session import run_graph
 
     def scenario():
         return CompositeScenario([
@@ -66,7 +66,7 @@ def time_interference_run(repeats: int = 3) -> dict:
     for _ in range(repeats):
         graph = layered_synthetic_dag(MatMulKernel(), 4, 1500)
         start = time.perf_counter()
-        result = run_one(graph, jetson_tx2(), "dam-c", scenario=scenario())
+        result = run_graph(graph, jetson_tx2(), "dam-c", scenario=scenario())
         best = min(best, time.perf_counter() - start)
     return {"seconds": best, "throughput": result.throughput}
 

@@ -139,31 +139,6 @@ def test_runtime_task_throughput_tracer_off(benchmark):
     assert result.tasks_completed == 1000
 
 
-def test_runtime_task_throughput_metrics_on(benchmark):
-    """The zero-overhead-when-off contract of repro.telemetry.
-
-    Same DAG as ``test_runtime_task_throughput`` with an *enabled*
-    :class:`MetricsRegistry` installed process-wide, exactly as a sweep
-    worker installs one around a metered run.  The runtime's telemetry
-    sites are counter handles touched only on fault paths, so a clean
-    run should cost nothing; ``compare_baseline.py`` gates this case
-    relatively — its min must stay within 2% of the plain case measured
-    in the same session — mirroring the tracer-off gate.
-    """
-    from repro.telemetry import MetricsRegistry, install
-
-    def run_dag():
-        previous = install(MetricsRegistry())
-        try:
-            graph = layered_synthetic_dag(MatMulKernel(), 4, 1000)
-            return run_graph(graph, jetson_tx2(), "dam-c")
-        finally:
-            install(previous)
-
-    result = benchmark.pedantic(run_dag, rounds=5, iterations=1)
-    assert result.tasks_completed == 1000
-
-
 def test_runtime_task_throughput_traced(benchmark):
     """Cost of full tracing (reported, ungated: tracing is opt-in)."""
     from repro.trace import FullTracer

@@ -14,6 +14,7 @@ derive realistic per-partition work weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -88,18 +89,35 @@ def build_kmeans_graph(
     interference on at iteration 20 and off at iteration 70.
     """
     graph = TaskGraph("kmeans")
-    sizes = config.partition_sizes()
-    hooks = dict(iteration_hooks or {})
+    _Iterations(config, iteration_hooks).emit(0, graph, None)
+    return graph
 
-    update_kernel = FixedWorkKernel(
-        "kmeans-update",
-        work=config.update_work(),
-        parallel_fraction=0.4,
-        memory_intensity=0.3,
-    )
 
-    def _emit_iteration(g: TaskGraph, iteration: int, after: Optional[Task]) -> None:
-        hook = hooks.get(iteration)
+class _Iterations:
+    """Emits the K-means DAG one iteration at a time.
+
+    An update task's spawn hook is a partial of :meth:`emit`; this object
+    refers to no task or graph, so a finished DAG is no reference cycle.
+    """
+
+    def __init__(
+        self,
+        config: KMeansConfig,
+        hooks: Optional[Dict[int, IterationHook]],
+    ) -> None:
+        self.config = config
+        self.sizes = config.partition_sizes()
+        self.hooks = dict(hooks or {})
+        self.update_kernel = FixedWorkKernel(
+            "kmeans-update",
+            work=config.update_work(),
+            parallel_fraction=0.4,
+            memory_intensity=0.3,
+        )
+
+    def emit(self, iteration: int, g: TaskGraph, after: Optional[Task]) -> None:
+        """Add ``iteration``'s tasks to ``g``, released by ``after``."""
+        hook = self.hooks.get(iteration)
         if hook is not None:
             hook(iteration)
         deps = [after] if after is not None else []
@@ -107,10 +125,10 @@ def build_kmeans_graph(
         # All partitions share one task type ("kmeans-assign") — like
         # XiTAO, where the type is the C++ class — so the PTT sees one
         # table; the skewed partition simply contributes larger samples.
-        for p, points in enumerate(sizes):
+        for p, points in enumerate(self.sizes):
             kernel = FixedWorkKernel(
                 "kmeans-assign",
-                work=config.assign_work(points),
+                work=self.config.assign_work(points),
                 parallel_fraction=0.85,
                 memory_intensity=0.35,
                 molding_overhead=0.05,
@@ -124,19 +142,15 @@ def build_kmeans_graph(
                 )
             )
         spawn = None
-        if iteration + 1 < config.iterations:
-            def spawn(g2: TaskGraph, task: Task, nxt=iteration + 1) -> None:
-                _emit_iteration(g2, nxt, task)
+        if iteration + 1 < self.config.iterations:
+            spawn = partial(self.emit, iteration + 1)
         g.add_task(
-            update_kernel,
+            self.update_kernel,
             deps=assigns,
             priority=Priority.HIGH,
             metadata={"iteration": iteration, "role": "update"},
             spawn=spawn,
         )
-
-    _emit_iteration(graph, 0, None)
-    return graph
 
 
 def reference_kmeans(

@@ -15,8 +15,8 @@ lease expiry, reclaim, retry budgets and exactly-once commit:
   cells from backlogged workers, parks on zero workers;
 * :mod:`repro.cluster.worker` — ``python -m repro.cluster.worker
   --connect ADDR --jobs N`` joins a coordinator with ``N`` worker
-  processes, which execute leases, stream results + heartbeats +
-  telemetry snapshots, and survive coordinator restart by
+  processes, which execute leases, stream results + heartbeats, and
+  survive coordinator restart by
   re-registering; the coordinator forks the same worker for its own
   auto-workers;
 * :mod:`repro.cluster.chaos` — deterministic failure injection and the

@@ -94,7 +94,6 @@ class LeaseOutcome:
     wall: float = 0.0
     attempts: int = 1
     kind: str = ""  # exception | crash | timeout | expired (failures only)
-    snap: Optional[Dict[str, Any]] = None  # worker telemetry snapshot
 
 
 @dataclass
@@ -355,9 +354,7 @@ class ClusterCoordinator:
             {
                 "type": protocol.MSG_WELCOME,
                 "worker": worker.name,
-                "run_timeout": self.run_timeout,
                 "heartbeat_interval": self.heartbeat_interval,
-                "telemetry": bool(self.telemetry.enabled),
             }
         )
 
@@ -666,7 +663,6 @@ class ClusterCoordinator:
             return
         cell = lease.cell if lease is not None else None
         attempts = (cell.attempts if cell is not None else 0) + 1
-        snap = message.get("snap")
         if message.get("ok"):
             self._resolve(
                 cell_key,
@@ -675,7 +671,6 @@ class ClusterCoordinator:
                     payload=message.get("payload"),
                     wall=wall,
                     attempts=attempts,
-                    snap=snap,
                 ),
             )
             return
@@ -691,7 +686,6 @@ class ClusterCoordinator:
                     wall=wall,
                     attempts=attempts,
                     kind=kind,
-                    snap=snap,
                 ),
             )
             return

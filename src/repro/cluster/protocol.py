@@ -7,14 +7,15 @@ Worker → coordinator
     ``register``   name, capacity and the pid of the worker's process.
     ``started``    a leased run began executing (arms the lease deadline).
     ``result``     lease outcome: ``ok`` + metrics payload (or a captured
-                   exception), wall seconds, optional telemetry snapshot.
+                   exception) and wall seconds.  Workers record no
+                   telemetry: the coordinator meters what they send.
     ``heartbeat``  periodic liveness ping with per-lease elapsed times.
     ``revoked``    acknowledges a revoke; the lease never started here.
     ``goodbye``    orderly departure (remaining leases reclaim instantly).
 
 Coordinator → worker
-    ``welcome``    registration accepted: sweep config (timeout,
-                   heartbeat interval, telemetry on/off).
+    ``welcome``    registration accepted: the worker's name and the
+                   coordinator's heartbeat interval.
     ``lease``      one cell to execute: lease id, cache key and the
                    spec's wire form (``"spec"``, see
                    :func:`spec_to_wire`).  One frame per lease.

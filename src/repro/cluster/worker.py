@@ -43,39 +43,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster import comm, protocol
 
-#: Serializes per-run telemetry-registry installs across executor
-#: threads (the registry hook is process-global).
-_TELEMETRY_LOCK = threading.Lock()
-
-
-def _execute(spec, builder, metered: bool):
-    """Run one spec; returns ``(ok, payload, snap)``.
-
-    ``payload`` is the metrics dict, or ``{"type", "message"}`` when the
-    run raised.  ``metered`` installs a fresh metrics registry for the
-    run and returns its snapshot as ``snap`` (else ``None``).  Only
-    ``Exception`` is caught.
-    """
-    from repro.sweep.registry import execute_spec
-
-    snap = None
-    try:
-        if metered:
-            from repro.telemetry.registry import MetricsRegistry, install
-
-            registry = MetricsRegistry()
-            previous = install(registry)
-            try:
-                metrics = execute_spec(spec, builder)
-            finally:
-                install(previous)
-                snap = registry.snapshot()
-        else:
-            metrics = execute_spec(spec, builder)
-    except Exception as exc:
-        return False, _failure(exc), snap
-    return True, metrics, snap
-
 
 def _decode(key: str, wire: Any):
     """Rebuild a lease's spec; :class:`~repro.cluster.protocol.SpecWireError`
@@ -145,7 +112,6 @@ class ClusterWorker:
         self.reconnect_timeout = reconnect_timeout
         self.reconnect_delay = reconnect_delay
         self.chaos = chaos
-        self.telemetry_on = False
         self._conn: Optional[comm.Connection] = None
         #: Cleared by stop(), a shutdown message or a chaos kill.  Set
         #: here rather than in run(), so a stop() that lands before the
@@ -260,7 +226,6 @@ class ClusterWorker:
     def _handle(self, message: Dict[str, Any]) -> None:
         mtype = message.get("type")
         if mtype == protocol.MSG_WELCOME:
-            self.telemetry_on = bool(message.get("telemetry"))
             interval = message.get("heartbeat_interval")
             if interval:
                 self.heartbeat_interval = float(interval)
@@ -305,17 +270,8 @@ class ClusterWorker:
         return None
 
     # -- execution -------------------------------------------------------
-    def _execute_inline(self, spec, builder):
-        """Run a spec on this thread; returns (ok, payload, kind, snap)."""
-        if self.telemetry_on:
-            with _TELEMETRY_LOCK:
-                ok, payload, snap = _execute(spec, builder, True)
-        else:
-            ok, payload, snap = _execute(spec, builder, False)
-        return ok, payload, "" if ok else "exception", snap
-
     def _executor_loop(self) -> None:
-        from repro.sweep.registry import RunBuilder
+        from repro.sweep.registry import RunBuilder, execute_spec
 
         builder = RunBuilder()  # builds every run of this thread
         while self._running:
@@ -340,7 +296,6 @@ class ClusterWorker:
                         "payload": _failure(exc),
                         "kind": "decode",
                         "wall": 0.0,
-                        "snap": None,
                     }
                 )
                 continue
@@ -358,7 +313,11 @@ class ClusterWorker:
                 if stall > 0:
                     time.sleep(stall)
             start = time.monotonic()
-            ok, payload, kind, snap = self._execute_inline(spec, builder)
+            ok, kind = True, ""
+            try:
+                payload = execute_spec(spec, builder)
+            except Exception as exc:
+                ok, payload, kind = False, _failure(exc), "exception"
             wall = time.monotonic() - start
             with self._lock:
                 self._active.pop(lease_id, None)
@@ -371,7 +330,6 @@ class ClusterWorker:
                     "payload": payload,
                     "kind": kind,
                     "wall": wall,
-                    "snap": snap,
                 }
             )
             self.results_completed += 1

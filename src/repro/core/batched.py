@@ -196,7 +196,6 @@ def execute_batch(
     as a scalar run of its spec would be.
     """
     from repro.sweep.registry import RunBuilder, _execute_single
-    from repro.telemetry import get_registry
 
     if not specs:
         return []
@@ -222,14 +221,6 @@ def execute_batch(
             )
         else:
             payloads.append({"ok": metrics})
-
-    # Telemetry: this runs in the sweep worker; the engine merges the
-    # worker's snapshot, so this lands in --watch and the HTML report.
-    reg = get_registry()
-    if reg.enabled:
-        reg.gauge(
-            "sweep_batch_runs", "replicates in the latest executed batch"
-        ).set(len(specs))
     return payloads
 
 

@@ -3,21 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.policies.base import SchedulerPolicy
-from repro.core.policies.registry import make_scheduler
 from repro.errors import ConfigurationError
-from repro.graph.dag import TaskGraph
-from repro.interference.base import InterferenceScenario
 from repro.interference.corunner import CorunnerInterference
 from repro.interference.dvfs_events import DvfsInterference
 from repro.machine.dvfs import PeriodicSquareWave
-from repro.machine.topology import Machine
-from repro.runtime.config import RuntimeConfig
-from repro.runtime.executor import RunResult, SimulatedRuntime
-from repro.machine.speed import SpeedModel
-from repro.sim.environment import Environment
 
 #: The paper's Table 1 evaluation order on the TX2.
 TX2_SCHEDULERS: Tuple[str, ...] = (
@@ -197,28 +188,6 @@ class ExperimentSettings:
 
     def iterations(self, paper_iterations: int) -> int:
         return max(10, int(paper_iterations * max(self.scale, 10 / paper_iterations)))
-
-
-def run_one(
-    graph: TaskGraph,
-    machine: Machine,
-    scheduler: str | SchedulerPolicy,
-    scenario: Optional[InterferenceScenario] = None,
-    config: Optional[RuntimeConfig] = None,
-    seed: int = 0,
-    scheduler_kwargs: Optional[Dict] = None,
-) -> RunResult:
-    """Wire and execute a single simulation run."""
-    if isinstance(scheduler, str):
-        scheduler = make_scheduler(scheduler, **(scheduler_kwargs or {}))
-    env = Environment()
-    speed = SpeedModel(env, machine)
-    if scenario is not None:
-        scenario.install(env, speed, machine)
-    runtime = SimulatedRuntime(
-        env, machine, graph, scheduler, config=config, speed=speed, seed=seed
-    )
-    return runtime.run()
 
 
 def _spec_trace_label(spec, index: int) -> str:

@@ -104,8 +104,10 @@ class FaultScenario(InterferenceScenario):
         injector = FaultInjector(env, speed, machine, self.plan)
         injectors = getattr(env, "fault_injectors", None)
         if injectors is None:
-            injectors = []
-            env.fault_injectors = injectors
+            injectors = env.fault_injectors = []
+            # Each injector holds the runtimes it notifies, which hold
+            # the environment: let go of them when the simulation ends.
+            env.on_close.append(injectors.clear)
         injectors.append(injector)
         injector.schedule()
         return injector

@@ -31,15 +31,16 @@ from repro.runtime.executor import SimulatedRuntime
 from repro.sim.environment import Environment
 
 
+def _regrow(g: TaskGraph, task: Task) -> None:
+    """Spawn hook of every chain task: append the chain's next task."""
+    g.add_task(task.kernel, deps=[task], spawn=_regrow,
+               metadata={"corunner": True})
+
+
 def _endless_chain(kernel: KernelModel, name: str) -> TaskGraph:
     """A chain DAG that regrows itself forever through spawn hooks."""
     graph = TaskGraph(name)
-
-    def spawn(g: TaskGraph, task: Task) -> None:
-        g.add_task(kernel, deps=[task], spawn=spawn,
-                   metadata={"corunner": True})
-
-    graph.add_task(kernel, spawn=spawn, metadata={"corunner": True})
+    graph.add_task(kernel, spawn=_regrow, metadata={"corunner": True})
     return graph
 
 
@@ -90,6 +91,8 @@ class LiveCorunner(InterferenceScenario):
             speed=speed,
             name=f"corunner-c{self.core}",
         )
+        # The chain never finishes: stop it when the simulation ends.
+        env.on_close.append(self.runtime.stop)
         if self.start > 0:
             def _delayed():
                 yield env.timeout(self.start)

@@ -358,8 +358,9 @@ class SpeedModel:
         will be re-executed from scratch, so the partially-done work is
         discarded, its core/domain registrations are released, and its
         ``done`` event is left untriggered (the aborted assembly's
-        completion is routed through the retry machinery instead).
-        Survivors sharing a core or the domain are re-timed exactly as on
+        completion is routed through the retry machinery instead).  The
+        callbacks that event will never run are dropped, since they hold
+        their owners.  Survivors sharing a core or the domain are re-timed exactly as on
         a normal completion.  Cancelling an item that already finished or
         was never started is a no-op.
         """
@@ -368,6 +369,7 @@ class SpeedModel:
         self._advance()
         factor_before = self._domain_factor(item.domain)
         del self._active[item.work_id]
+        item.done.callbacks.clear()
         freed: set = set()
         for core in item.cores:
             members = self._core_items[core]

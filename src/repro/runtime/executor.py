@@ -409,29 +409,6 @@ class SimulatedRuntime:
             "tasks_retried": 0,
             "recovery_latencies": [],
         }
-        # Telemetry handles, bound at construction (cold paths only —
-        # with the default null registry these are shared no-ops, and
-        # recording never touches RNGs or the event queue, so results
-        # are bit-identical with metrics on or off).
-        from repro.telemetry.registry import get_registry
-
-        _reg = get_registry()
-        self._m_workers_lost = _reg.counter(
-            "runtime_workers_lost_total",
-            "Simulated workers confirmed lost after lease expiry",
-        )
-        self._m_workers_recovered = _reg.counter(
-            "runtime_workers_recovered_total",
-            "Simulated workers that rejoined after recovery",
-        )
-        self._m_tasks_reclaimed = _reg.counter(
-            "runtime_tasks_reclaimed_total",
-            "Queued tasks reclaimed from lost workers",
-        )
-        self._m_tasks_retried = _reg.counter(
-            "runtime_tasks_retried_total",
-            "In-flight tasks re-executed after their worker died",
-        )
         injectors = getattr(env, "fault_injectors", None)
         if injectors:
             for injector in injectors:
@@ -1274,7 +1251,6 @@ class SimulatedRuntime:
         crashed_at = self._crash_time[core]
         self._dead[core] = True
         self._fault_stats["workers_lost"] += 1
-        self._m_workers_lost.inc()
 
         if self.scheduler.ptt is not None:
             self.scheduler.ptt.mark_core_lost(core)
@@ -1329,8 +1305,6 @@ class SimulatedRuntime:
         # Never-started tasks re-enqueue immediately and do not burn the
         # retry budget; they were victims of placement, not execution.
         self._fault_stats["tasks_reclaimed"] += len(reclaimed)
-        if reclaimed:
-            self._m_tasks_reclaimed.inc(len(reclaimed))
         for task in reclaimed:
             task.metadata.setdefault("_crashed_at", crashed_at)
             self._requeue_recovered(task, core)
@@ -1359,7 +1333,6 @@ class SimulatedRuntime:
         task.metadata.setdefault("_crashed_at", self._crash_time[dead_core])
         backoff = self.config.retry_backoff * (2 ** (attempt - 1))
         self._fault_stats["tasks_retried"] += 1
-        self._m_tasks_retried.inc()
         if self._tracing:
             self.tracer.emit(
                 TaskRetryEvent(
@@ -1396,7 +1369,6 @@ class SimulatedRuntime:
         self._dead[core] = False
         if was_dead:
             self._fault_stats["workers_recovered"] += 1
-            self._m_workers_recovered.inc()
             if self.scheduler.ptt is not None:
                 self.scheduler.ptt.mark_core_recovered(core)
         if self._tracing:
@@ -1435,6 +1407,21 @@ class SimulatedRuntime:
         if not any(self._dead[c] for c in cores):
             return place
         return ExecutionPlace(self._live_fallback(deciding_core), 1)
+
+    def stop(self) -> None:
+        """End this runtime where it stands, finished or not.
+
+        A live co-runner's chain never finishes, so its environment's
+        close calls this: in-flight work is abandoned, parked workers'
+        wake-up events are dropped and every worker loop ends, so nothing
+        is left that refers back to the runtime.
+        """
+        self._shutdown = True
+        for assembly in self._current_assembly:
+            if assembly is not None and assembly.work is not None:
+                self.speed.cancel_work(assembly.work)
+        self._idle_events.clear()
+        self._stop_workers()
 
     def _stop_workers(self) -> None:
         """End every worker's loop at shutdown.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.sim.events import NORMAL, PENDING, URGENT, Event, EventQueue
 
@@ -144,6 +144,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue = EventQueue()
         self._active_process: Optional[Process] = None
+        #: Called in order by :meth:`close`, before it drops the pending
+        #: events, by parts of the simulation that would otherwise
+        #: outlive it in a reference cycle (a co-runner that never
+        #: finishes stops itself there).
+        self.on_close: List[Callable[[], None]] = []
 
     # -- public API --------------------------------------------------------
     @property
@@ -262,8 +267,12 @@ class Environment:
         models, processes), and they hold this environment, so a stopped
         simulation is one reference cycle until its events go.  Call
         this when nothing will process them any more; reference counting
-        then frees the simulation.  The clock keeps its time.
+        then frees the simulation.  The :attr:`on_close` callbacks run
+        first.  The clock keeps its time.
         """
+        for callback in self.on_close:
+            callback()
+        self.on_close.clear()
         queue = self._queue
         queue._heap.clear()
         queue._defunct.clear()

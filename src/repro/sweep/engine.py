@@ -1056,7 +1056,6 @@ class SweepRunner:
 
         def resolve(key, spec, out):
             job = _Job(key, spec, attempts=max(out.attempts - 1, 0))
-            tele.registry.merge(out.snap)
             if out.status == "ok":
                 self._record_success(
                     job, out.payload, out.wall, results, walls, batch
@@ -1153,71 +1152,59 @@ class SweepRunner:
         walls: Dict[str, float],
         batch: _BatchStats,
     ) -> None:
-        """Serial in-process execution (no timeout enforcement).
-
-        Inline runs execute in the parent process, so when telemetry is
-        on the hub's own registry is installed for their duration —
-        runtime fault counters land directly, no snapshot merge needed.
-        """
-        from repro.telemetry.registry import install
-
+        """Serial in-process execution (no timeout enforcement)."""
         tele = self.telemetry
         ident = tele.workers.inline()
         builder = RunBuilder()
-        previous = install(tele.registry) if tele.enabled else None
-        try:
-            queue = deque(pending)
-            while queue:
-                key, spec = queue.popleft()
-                job = _Job(key, spec)
-                tele.workers.assign(
-                    ident,
-                    key,
-                    self.label,
-                    attempt=1,
-                    width=self._job_width(job),
-                    now=tele.now(),
-                    expected=self.cost_model.predict(spec),
-                )
-                self._m_runs_started.inc()
-                start = time.perf_counter()
-                try:
-                    metrics = execute_spec(spec, builder)
-                except Exception as exc:
-                    tele.workers.finish(ident)
-                    members = self._batch_members.pop(key, None)
-                    if members is not None:
-                        # The batch harness itself failed (per-replicate
-                        # errors come back inside a successful payload):
-                        # fall back to scalar runs of every member.
-                        self._log(
-                            f"batch {key[:12]} failed "
-                            f"({type(exc).__name__}); falling back to "
-                            f"{len(members)} scalar runs"
-                        )
-                        self._m_batch_fallback.inc()
-                        for member_key, _member_spec in members:
-                            self._batch_reason[member_key] = "batch-failed"
-                        queue.extend(members)
-                        continue
-                    self._record_exception(
-                        job,
-                        {"type": type(exc).__name__, "message": str(exc)},
-                        results,
-                        batch,
-                        wall=time.perf_counter() - start,
-                    )
-                    self._tick(len(queue), busy=0, live=1)
-                    continue
+        queue = deque(pending)
+        while queue:
+            key, spec = queue.popleft()
+            job = _Job(key, spec)
+            tele.workers.assign(
+                ident,
+                key,
+                self.label,
+                attempt=1,
+                width=self._job_width(job),
+                now=tele.now(),
+                expected=self.cost_model.predict(spec),
+            )
+            self._m_runs_started.inc()
+            start = time.perf_counter()
+            try:
+                metrics = execute_spec(spec, builder)
+            except Exception as exc:
                 tele.workers.finish(ident)
-                self._record_success(
-                    job, metrics, time.perf_counter() - start, results,
-                    walls, batch,
+                members = self._batch_members.pop(key, None)
+                if members is not None:
+                    # The batch harness itself failed (per-replicate
+                    # errors come back inside a successful payload):
+                    # fall back to scalar runs of every member.
+                    self._log(
+                        f"batch {key[:12]} failed "
+                        f"({type(exc).__name__}); falling back to "
+                        f"{len(members)} scalar runs"
+                    )
+                    self._m_batch_fallback.inc()
+                    for member_key, _member_spec in members:
+                        self._batch_reason[member_key] = "batch-failed"
+                    queue.extend(members)
+                    continue
+                self._record_exception(
+                    job,
+                    {"type": type(exc).__name__, "message": str(exc)},
+                    results,
+                    batch,
+                    wall=time.perf_counter() - start,
                 )
                 self._tick(len(queue), busy=0, live=1)
-        finally:
-            if previous is not None:
-                install(previous)
+                continue
+            tele.workers.finish(ident)
+            self._record_success(
+                job, metrics, time.perf_counter() - start, results,
+                walls, batch,
+            )
+            self._tick(len(queue), busy=0, live=1)
 
     def run(self, specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
         """Execute ``specs``; returns one metrics dict per spec, in order.

@@ -47,8 +47,6 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    get_registry,
-    install,
 )
 
 #: File names written next to ``manifest.json`` when telemetry is on.
@@ -226,7 +224,5 @@ __all__ = [
     "Telemetry",
     "WorkerTable",
     "WorkerView",
-    "get_registry",
-    "install",
     "straggler_after",
 ]

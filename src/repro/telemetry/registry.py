@@ -5,22 +5,18 @@ Mirrors the :mod:`repro.trace` contract (see ``docs/observability.md``):
 * **Zero overhead when off.**  The default registry is the shared
   :data:`NULL_REGISTRY` whose ``enabled`` flag is ``False``; instrumented
   sites guard metric updates behind that flag (or hold the shared no-op
-  metric objects, whose methods discard), so an un-metered run pays one
-  attribute read per site.  CI gates this on the ``runtime_task``
-  micro-bench exactly like the tracer gate.
-* **Bit-identity.**  Metrics are write-only observation: recording never
-  consumes randomness and never schedules simulation events, so results
-  are byte-identical with the registry on or off (property-tested in
-  ``tests/test_telemetry.py``).
+  metric objects, whose methods discard), so an un-metered sweep pays
+  one call per site.
+* **Bit-identity.**  Metrics are write-only observation of the sweep:
+  nothing a run computes reads them, so results are byte-identical with
+  telemetry on or off (tested end to end in ``tests/test_telemetry.py``).
 
-Process model: each process owns its registry (no shared memory, no
-locks on the hot path).  Sweep worker processes record into a private
-registry installed per run and ship its :meth:`MetricsRegistry.snapshot`
-back over the existing result pipe; the parent folds worker snapshots
-into its own registry with :meth:`MetricsRegistry.merge`.  That is the
-whole process-safety story — snapshots are plain JSON data, merging is
-commutative for counters and histograms, and nothing ever blocks a
-worker.
+Process model: the registry lives in the sweep process, which is where
+metrics are rendered.  The sweep engine and the cluster coordinator
+record every ``sweep_*``, ``cluster_*`` and ``adaptive_*`` metric there
+from the results and heartbeats their workers send; a worker process
+records nothing and ships no metrics.  Simulated runs report their own
+numbers (fault recovery included) as run metrics instead.
 
 Metric types:
 
@@ -42,7 +38,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -182,17 +178,14 @@ class _NullMetric:
 
 _NULL_METRIC = _NullMetric()
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
 
 class MetricsRegistry:
     """A process-local, insertion-ordered collection of named metrics.
 
     ``counter``/``gauge``/``histogram`` are get-or-create (idempotent,
-    type-checked); :meth:`snapshot` returns JSON-ready plain data and
-    :meth:`merge` folds another process's snapshot in.  The registry
-    clock stamps histogram series relative to the registry's creation,
-    so sparklines line up with the sweep's own elapsed time.
+    type-checked); :meth:`snapshot` returns JSON-ready plain data.  The
+    registry clock stamps histogram series relative to the registry's
+    creation, so sparklines line up with the sweep's own elapsed time.
     """
 
     enabled = True
@@ -256,54 +249,6 @@ class MetricsRegistry:
         """JSON-ready view of every metric, in registration order."""
         return {name: m.as_dict() for name, m in self._metrics.items()}
 
-    # -- cross-process folding ------------------------------------------
-    def merge(self, snapshot: Optional[Dict[str, Dict[str, Any]]]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and histogram bucket counts/sums add; gauges take the
-        incoming value (last write wins); histogram series entries are
-        re-stamped onto *this* registry's clock (the origin clocks are
-        not comparable across processes).  Unknown metric shapes are
-        ignored rather than crashing the sweep — telemetry must never
-        take a run down.
-        """
-        if not snapshot:
-            return
-        for name, entry in snapshot.items():
-            if not isinstance(entry, dict):
-                continue
-            kind = entry.get("type")
-            if kind not in _KINDS:
-                continue
-            help_text = entry.get("help", "")
-            if kind == "counter":
-                self.counter(name, help_text).inc(float(entry.get("value", 0.0)))
-            elif kind == "gauge":
-                self.gauge(name, help_text).set(float(entry.get("value", 0.0)))
-            else:
-                self._merge_histogram(name, help_text, entry)
-
-    def _merge_histogram(
-        self, name: str, help_text: str, entry: Dict[str, Any]
-    ) -> None:
-        buckets = entry.get("buckets") or list(DEFAULT_BUCKETS)
-        hist = self.histogram(name, help_text, buckets=buckets)
-        counts = entry.get("counts")
-        if list(hist.buckets) != [float(b) for b in buckets] or not isinstance(
-            counts, list
-        ) or len(counts) != len(hist.counts):
-            return  # incompatible shape: drop rather than corrupt
-        for i, n in enumerate(counts):
-            hist.counts[i] += int(n)
-        hist.sum += float(entry.get("sum", 0.0))
-        hist.count += int(entry.get("count", 0))
-        now = self.clock()
-        for item in entry.get("series") or []:
-            try:
-                hist.series.append((now, float(item[1])))
-            except (TypeError, ValueError, IndexError):
-                continue
-
     def reset(self) -> None:
         self._metrics.clear()
         self._t0 = time.monotonic()
@@ -327,35 +272,9 @@ class NullRegistry(MetricsRegistry):
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {}
 
-    def merge(self, snapshot) -> None:
-        pass
-
 
 #: Shared disabled registry; components default to this instance.
 NULL_REGISTRY = NullRegistry()
-
-#: The process-wide current registry (see :func:`install`).  Components
-#: that cannot be handed a registry explicitly — the simulated runtime's
-#: fault-recovery paths — read this at construction time.
-_current: MetricsRegistry = NULL_REGISTRY
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide current registry (default: :data:`NULL_REGISTRY`)."""
-    return _current
-
-
-def install(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Set the process-wide registry; returns the previous one.
-
-    ``None`` restores :data:`NULL_REGISTRY`.  Sweep worker processes
-    install a fresh enabled registry per metered run and restore the
-    null registry afterwards, so metrics can never leak across runs.
-    """
-    global _current
-    previous = _current
-    _current = registry if registry is not None else NULL_REGISTRY
-    return previous
 
 
 __all__ = [
@@ -367,6 +286,4 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "get_registry",
-    "install",
 ]

@@ -16,7 +16,8 @@ Contracts under test:
   that raised, equal fresh builds; two builders, or two runtimes of one
   builder in flight at once, share no generator.
 * A finished untraced run leaves no cyclic garbage: reference counting
-  frees all of it.
+  frees all of it, a live co-runner's endless chain, fault injectors
+  and aborted tasks included.
 """
 
 import dataclasses
@@ -205,24 +206,57 @@ def _simulation_objects():
     return {id(o) for o in gc.get_objects() if isinstance(o, kinds)}
 
 
+#: Runs beyond the ``single`` specs over :data:`SCENARIOS`: a Fig. 9
+#: K-means window, and crashes that abort in-flight tasks for a retry.
+OTHER_RUNS = {
+    "kmeans_window": RunSpec(
+        kind="kmeans_window",
+        params={"machine": "haswell16", "scheduler": "dam-c",
+                "iterations": 8, "window": [2, 5]},
+    ),
+    "faults-retried": _spec(
+        scenario={"name": "faults", "stragglers": [],
+                  "crashes": [[1, 0.002, 0.001], [2, 0.0025, 0.003],
+                              [3, 0.004, None]]},
+        metrics=("makespan", "tasks_retried"), total=80,
+    ),
+}
+
+
+def _second_run_leaves_no_cyclic_garbage(spec):
+    """Run ``spec`` at seed 1 through a warm builder; return its metrics
+    once nothing of the run is left for the collector."""
+    builder = RunBuilder()
+    execute_spec(spec, builder)  # warm the builder and the DAG cache
+    gc.collect()
+    gc.disable()
+    try:
+        before = _simulation_objects()
+        metrics = execute_spec(dataclasses.replace(spec, seed=1), builder)
+        # Nothing of the run is still alive, not even a cycle whose
+        # generator finalizer would let the collector free it
+        # without counting it...
+        assert _simulation_objects() <= before
+        # ...and the collector finds nothing unreachable.
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    return metrics
+
+
 class TestNoCyclicGarbage:
-    @pytest.mark.parametrize("scenario", SCENARIOS[:3], ids=["none", "tx2", "dvfs"])
+    @pytest.mark.parametrize(
+        "scenario", SCENARIOS,
+        ids=["none", "tx2", "dvfs", "live_corunner", "faults"],
+    )
     @pytest.mark.parametrize("metrics", [METRIC_SETS[0], METRIC_SETS[3]],
                              ids=["lean", "records"])
     def test_finished_run_leaves_no_cyclic_garbage(self, scenario, metrics):
-        builder = RunBuilder()
         spec = _spec(scenario=scenario, metrics=metrics, total=40)
-        execute_spec(spec, builder)  # warm the builder and the DAG cache
-        gc.collect()
-        gc.disable()
-        try:
-            before = _simulation_objects()
-            execute_spec(dataclasses.replace(spec, seed=1), builder)
-            # Nothing of the run is still alive, not even a cycle whose
-            # generator finalizer would let the collector free it
-            # without counting it...
-            assert _simulation_objects() <= before
-            # ...and the collector finds nothing unreachable.
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        _second_run_leaves_no_cyclic_garbage(spec)
+
+    @pytest.mark.parametrize("name", sorted(OTHER_RUNS))
+    def test_other_runs_leave_no_cyclic_garbage(self, name):
+        metrics = _second_run_leaves_no_cyclic_garbage(OTHER_RUNS[name])
+        if name == "faults-retried":
+            assert metrics["tasks_retried"] > 0

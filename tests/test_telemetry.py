@@ -1,12 +1,12 @@
 """Tests for the live sweep telemetry layer (repro.telemetry).
 
-Covers the PR's acceptance criteria: metrics-on runs bit-identical to
-metrics-off runs (the same contract the tracer honors), histogram bucket
-edge semantics, cross-process snapshot merging, the Prometheus text
-exposition (pinned by a golden file and its own validator), the worker
-heartbeat table's diagnostic-only straggler detection, the structured
-progress emitter, both front-ends (dashboard and HTML report), and the
-artifact files written next to each sweep manifest.
+Covers metered sweeps bit-identical to unmetered ones (the same
+contract the tracer honors), histogram bucket edge semantics, the
+Prometheus text exposition (pinned by a golden file and its own
+validator), the worker heartbeat table's diagnostic-only straggler
+detection, the structured progress emitter, both front-ends (dashboard
+and HTML report), and the artifact files written next to each sweep
+manifest.
 """
 
 from __future__ import annotations
@@ -17,18 +17,10 @@ import math
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.core.policies.registry import SCHEDULER_NAMES, make_scheduler
 from repro.errors import ConfigurationError
-from repro.graph.generators import random_layered_dag
-from repro.kernels.fixed import FixedWorkKernel
-from repro.machine.presets import jetson_tx2
-from repro.runtime.executor import SimulatedRuntime
 from repro.session import quick_run
-from repro.sim.environment import Environment
-from repro.sweep import RunSpec, SweepRunner, pop_stats
+from repro.sweep import AdaptivePolicy, RunSpec, SweepRunner, pop_stats
 from repro.sweep.registry import executor
 from repro.telemetry import (
     METRICS_JSONL,
@@ -39,8 +31,6 @@ from repro.telemetry import (
     ProgressEmitter,
     Telemetry,
     WorkerTable,
-    get_registry,
-    install,
     straggler_after,
 )
 from repro.telemetry.dashboard import Dashboard
@@ -61,12 +51,6 @@ from repro.telemetry.report import REPORT_HTML, write_report
 from repro.telemetry.report import main as report_main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "metrics.prom")
-
-KERNELS = [
-    FixedWorkKernel("small", work=2e-4, parallel_fraction=0.5),
-    FixedWorkKernel("big", work=2e-3, parallel_fraction=0.95,
-                    memory_intensity=0.4),
-]
 
 
 @executor("telem_sim")
@@ -97,61 +81,7 @@ def _sim_specs(seeds=(0, 1), schedulers=("rws", "dam-c")):
     ]
 
 
-def _run(scheduler: str, seed: int, layers: int, width: int):
-    graph = random_layered_dag(KERNELS, layers, width, seed=seed)
-    env = Environment()
-    runtime = SimulatedRuntime(
-        env, jetson_tx2(), graph, make_scheduler(scheduler), seed=seed
-    )
-    return runtime, runtime.run()
-
-
-def _fingerprint(runtime, result):
-    """Everything observable about a run: records, steals, RNG states."""
-    records = tuple(
-        (r.task_id, r.type_name, r.place, r.ready_time, r.dequeue_time,
-         r.exec_start, r.exec_end, r.observed, r.stolen)
-        for r in result.collector.records
-    )
-    rng_draws = tuple(
-        float(rng.random()) for rng in runtime._steal_rngs
-    ) + (float(runtime._noise_rng.random()), float(runtime._wake_rng.random()))
-    return (
-        result.makespan,
-        result.tasks_completed,
-        records,
-        dict(result.collector.core_busy),
-        result.collector.steals,
-        result.collector.failed_steal_scans,
-        rng_draws,
-    )
-
-
 class TestBitIdentity:
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        scheduler=st.sampled_from(SCHEDULER_NAMES),
-        seed=st.integers(min_value=0, max_value=10_000),
-        layers=st.integers(min_value=1, max_value=5),
-        width=st.integers(min_value=1, max_value=4),
-    )
-    def test_metered_run_bit_identical_to_unmetered(
-        self, scheduler, seed, layers, width
-    ):
-        """An installed (enabled) registry changes nothing: same records,
-        same post-run RNG states — metrics never consume randomness."""
-        base_rt, base = _run(scheduler, seed, layers, width)
-        registry = MetricsRegistry()
-        previous = install(registry)
-        try:
-            metered_rt, metered = _run(scheduler, seed, layers, width)
-        finally:
-            install(previous)
-        assert _fingerprint(base_rt, base) == _fingerprint(
-            metered_rt, metered
-        )
-
     def test_sweep_results_identical_with_telemetry_on(self, tmp_path):
         """End to end through the worker pool: the same spec list yields
         byte-identical metric rows with telemetry on and off."""
@@ -173,6 +103,48 @@ class TestBitIdentity:
         snap = tele.registry.snapshot()
         assert snap["sweep_runs_finished_total"]["value"] == len(specs)
         assert snap["sweep_run_seconds"]["count"] == len(specs)
+
+    def test_metered_adaptive_sweep_through_coordinator(self, tmp_path):
+        """Batched replicates leased to two worker processes: the rows
+        equal an unmetered sweep's, and the sweep process alone records
+        every replicate and every batch its workers ran."""
+        cells = [
+            RunSpec(
+                kind="single",
+                params={
+                    "workload": {"name": "layered", "kernel": "matmul",
+                                 "parallelism": 2, "total": 40},
+                    "machine": "jetson_tx2",
+                    "scheduler": sched,
+                    "scenario": None,
+                },
+                metrics=("throughput", "makespan"),
+            )
+            for sched in ("rws", "dam-c")
+        ]
+        policy = AdaptivePolicy(ci=0.02, min_seeds=3, max_seeds=3)
+
+        def sweep(name, telemetry=None):
+            runner = SweepRunner(
+                jobs=2, use_cache=False, progress=False, batch_runs="auto",
+                cache_dir=tmp_path / name, telemetry=telemetry,
+            )
+            return runner.run_adaptive(cells, policy), runner.last_stats
+
+        plain, _ = sweep("c1")
+        tele = Telemetry(
+            label="adaptive", enabled=True, out_dir=tmp_path / "out"
+        )
+        metered, stats = sweep("c2", tele)
+        pop_stats()
+        assert plain == metered
+        snap = tele.registry.snapshot()
+        assert stats.executed == 6  # 3 replicates of each cell
+        assert snap["sweep_runs_finished_total"]["value"] == stats.executed
+        assert stats.batches >= 1
+        assert snap["sweep_batch_width"]["count"] == stats.batches
+        # Each batch came back from a worker as one lease result.
+        assert snap["cluster_results_total"]["value"] == stats.batches
 
 
 class TestRegistry:
@@ -227,46 +199,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             Histogram("h", buckets=(1.0, 1.0))
 
-    def test_merge_folds_worker_snapshot(self):
-        worker = MetricsRegistry()
-        worker.counter("runs").inc(2)
-        worker.gauge("depth").set(7)
-        wh = worker.histogram("wall", buckets=(1.0, 2.0))
-        wh.observe(0.5)
-        wh.observe(5.0)
-
-        parent = MetricsRegistry()
-        parent.counter("runs").inc(1)
-        parent.gauge("depth").set(3)
-        ph = parent.histogram("wall", buckets=(1.0, 2.0))
-        ph.observe(1.5)
-
-        parent.merge(worker.snapshot())
-        snap = parent.snapshot()
-        assert snap["runs"]["value"] == 3.0          # counters add
-        assert snap["depth"]["value"] == 7.0         # last write wins
-        assert snap["wall"]["counts"] == [1, 1, 1]   # bucket counts add
-        assert snap["wall"]["count"] == 3
-        assert snap["wall"]["sum"] == pytest.approx(7.0)
-        # Series re-stamped onto the parent clock, values preserved.
-        assert sorted(v for _, v in ph.series) == [0.5, 1.5, 5.0]
-
-    def test_merge_drops_incompatible_histogram_shapes(self):
-        parent = MetricsRegistry()
-        ph = parent.histogram("wall", buckets=(1.0, 2.0))
-        ph.observe(0.5)
-        parent.merge({
-            "wall": {"type": "histogram", "buckets": [9.0],
-                     "counts": [4, 4], "sum": 99.0, "count": 8},
-            "junk": {"type": "nonsense", "value": 1},
-            "scalar": 5,
-        })
-        snap = parent.snapshot()
-        assert snap["wall"]["count"] == 1   # incompatible merge dropped
-        assert "junk" not in snap and "scalar" not in snap
-        parent.merge(None)  # no-op, never raises
-        parent.merge({})
-
     def test_null_registry_records_nothing(self):
         assert NULL_REGISTRY.enabled is False
         assert NULL_REGISTRY.counter("x") is _NULL_METRIC
@@ -276,17 +208,6 @@ class TestRegistry:
         _NULL_METRIC.set(5)
         _NULL_METRIC.observe(1.0)
         assert NULL_REGISTRY.snapshot() == {}
-
-    def test_install_swaps_process_registry(self):
-        assert get_registry() is NULL_REGISTRY
-        reg = MetricsRegistry()
-        previous = install(reg)
-        try:
-            assert previous is NULL_REGISTRY
-            assert get_registry() is reg
-        finally:
-            install(None)
-        assert get_registry() is NULL_REGISTRY
 
 
 def _golden_snapshot():
